@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .tensor import (AXES, FULL3D, PLANAR, ComponentBasis, canonical,
                      expansion_matrix, independent_components, multiplicity,
                      multisets, parity)
-from .basis import (BasisFunction, BasisSet, GaussianWeight, Polynomial3,
+from .basis import (BasisFunction, BasisSet, Polynomial3,
                     build_basis_set, harmonic_tensor, inner_full, inner_half,
                     laguerre_radial, verify_orthogonality)
 from .system import (CharacteristicDecomposition, MomentSystem, MomentTheory,
@@ -21,6 +21,5 @@ from .system import (CharacteristicDecomposition, MomentSystem, MomentTheory,
 from .boundary import (BoundaryOperator, WallData, assemble_mbc, assemble_obc,
                        make_boundary_operator, wall_inhomogeneity)
 from .stability import StabilityReport, check_stability, quadratic_form_H
-from .channel import (ChannelConfig, ChannelSolution, ErrorProfile,
-                      error_profile, reference_solution, solve_steady,
-                      source_vector, time_march_energy)
+from .channel import (ChannelConfig, ChannelSolution, reference_solution,
+                      solve_steady, source_vector, time_march_energy)

@@ -23,18 +23,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-@dataclass(frozen=True)
-class GaussianWeight:
-    """Reference Maxwellian weight; code units fix rho0 = theta0 = 1."""
-
-    theta0: float = 1.0
-    rho0: float = 1.0
-    dim: int = 3
-
-
-REFERENCE_WEIGHT = GaussianWeight()
-
-
 class Polynomial3:
     """Sparse polynomial in the three velocity components.
 

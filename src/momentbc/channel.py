@@ -4,10 +4,13 @@ Steady heat conduction in a slab y in [-1/2, 1/2] driven by the quadratic
 volumetric heating r(y) = a y^2 with isothermal walls.  In reference units
 the steady balance forces zero normal velocity and a heat-flux difference
 across the channel equal to the integrated heating a/12.  The steady solver
-uses second-order collocation with boundary rows replacing the odd-moment
-equations at the walls; the time marcher integrates the same system with
-upwind characteristic splitting and a three-stage strong stability
-preserving scheme.
+collocates the system on a uniform grid with characteristic-biased
+third-order stencils, boundary rows replacing the odd-moment equations at
+the walls and third-order one-sided even rows there; the time marcher
+integrates the same system with second-order upwind characteristic
+splitting and a three-stage strong stability preserving scheme.  Both
+operators are sums of Kronecker products of a node stencil with a moment
+block, and every stencil is a weight table.
 """
 
 from __future__ import annotations
@@ -107,27 +110,6 @@ class ChannelSolution:
     fields: dict
     diagnostics: dict = field(default_factory=dict)
 
-    def __getattr__(self, name):
-        fields = object.__getattribute__(self, "fields")
-        if name in fields:
-            return fields[name]
-        raise AttributeError(name)
-
-
-@dataclass(frozen=True)
-class ErrorProfile:
-    y: np.ndarray
-    e_theta: np.ndarray
-    e_sigma: np.ndarray
-
-    @property
-    def max_theta(self) -> float:
-        return float(self.e_theta.max())
-
-    @property
-    def max_sigma(self) -> float:
-        return float(self.e_sigma.max())
-
 
 def _symmetry_error(fields: dict) -> float:
     """Deviation from the even/odd reflection symmetry of the solution."""
@@ -139,20 +121,86 @@ def _symmetry_error(fields: dict) -> float:
     return worst
 
 
-def _stack_index(i, idx, m):
-    return i * m + np.asarray(idx)
+# Node stencils as weight tables: each entry (nodes, denominator,
+# {offset: numerator}) puts numerator / (denominator * h) at column
+# node + offset of every selected row.  Derivative stencils:
+_UPWIND3 = ((slice(2, -1), 6, {-2: 1, -1: -6, 0: 3, 1: 2}),
+            (slice(1, 2), 2, {-1: -1, 1: 1}))
+_DOWNWIND3 = ((slice(1, -2), 6, {-1: -2, 0: -3, 1: 6, 2: -1}),
+              (slice(-2, -1), 2, {-1: -1, 1: 1}))
+_WALL3 = ((slice(0, 1), 6, {0: -11, 1: 18, 2: -9, 3: 2}),
+          (slice(-1, None), 6, {0: 11, -1: -18, -2: 9, -3: -2}))
+_UPWIND2 = ((slice(2, -1), 2, {0: 3, -1: -4, -2: 1}),
+            (slice(1, 2), 1, {0: 1, -1: -1}))
+_DOWNWIND2 = ((slice(1, -2), 2, {0: -3, 1: 4, 2: -1}),
+              (slice(-2, -1), 1, {0: -1, 1: 1}))
+_WALL2 = ((slice(0, 1), 2, {0: -3, 1: 4, 2: -1}),
+          (slice(-1, None), 2, {0: 3, -1: -4, -2: 1}))
+# node selections (used with h = 1)
+_INTERIOR = ((slice(1, -1), 1, {0: 1}),)
+_WALLS = ((slice(0, 1), 1, {0: 1}), (slice(-1, None), 1, {0: 1}))
+
+
+def _stencil(n: int, table, h: float = 1.0) -> sp.csr_matrix:
+    """n x n node stencil from a weight table."""
+    rows, cols, vals = [], [], []
+    for nodes, den, taps in table:
+        nodes = np.arange(n)[nodes]
+        for offset, num in taps.items():
+            rows.append(nodes)
+            cols.append(nodes + offset)
+            vals.append(np.full(nodes.size, num / (den * h)))
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def _kron_sum(terms) -> sp.csr_matrix:
+    """CSR sum of kron(D, B) over terms of an N x N node stencil D and an
+    m x m moment block B; exact cancellations are not stored."""
+    total = None
+    for D, B in terms:
+        term = sp.kron(D, B).tocsr()
+        total = term if total is None else total + term
+    return total
+
+
+def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
+    """Collocation operator K alpha = F of the steady system, walls included.
+
+    d/dy goes through characteristic-biased third-order stencils, central
+    next to the walls; a pure central scheme leaves sawtooth modes of the
+    non-relaxing moments undetermined.  At a wall the odd-moment rows are
+    the boundary rows B alpha = rhs and the even-moment rows use one-sided
+    third-order differences.
+    """
+    N, m, n_o = cfg.n_grid, sys.size, sys.n_o
+    y = cfg.grid()
+    h = y[1] - y[0]
+    A = sys.A["y"]
+    P = sys.P_bgk / cfg.kn
+    A_up, A_dn = dec.split_fluxes(A)
+    A_even = np.vstack([np.zeros((n_o, m)), A[n_o:]])
+    return _kron_sum([
+        (_stencil(N, _UPWIND3, h), A_up),
+        (_stencil(N, _DOWNWIND3, h), A_dn),
+        (_stencil(N, _INTERIOR), P),
+        (_stencil(N, _WALL3, h), A_even),
+        (_stencil(N, _WALLS[:1]), np.vstack([bc_lower.B, P[n_o:]])),
+        (_stencil(N, _WALLS[1:]), np.vstack([bc_upper.B, P[n_o:]])),
+    ])
 
 
 def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
                  bc_upper=None, bc_lower=None) -> ChannelSolution:
     """Steady channel solve on cfg.n_grid collocation nodes.
 
-    Interior rows use central differences; at the walls the odd-moment rows
-    are replaced by the boundary conditions and the even-moment rows by
-    one-sided second-order differences.  The density column only enters
-    through its derivative, so the plain system is singular up to a uniform
-    density shift; a zero-total-density gauge closes it through a bordered
-    augmentation.
+    Interior rows use characteristic-biased third-order stencils; at the
+    walls the odd-moment rows are the boundary conditions and the
+    even-moment rows one-sided third-order differences (_steady_operator).
+    The density column only enters through its derivative, so the
+    plain system is singular up to a uniform density shift; a
+    zero-total-density gauge closes it through a bordered augmentation.
     """
     if sys is None:
         sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
@@ -165,75 +213,10 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
     n_o = sys.n_o
     N = cfg.n_grid
     y = cfg.grid()
-    h = y[1] - y[0]
-    A = sys.A["y"]
-    P = np.diag(sys.P_bgk) / cfg.kn
     bs = sys.basis
     wall = cfg.wall_data()
     size = N * m
-
-    rows, cols, vals = [], [], []
-
-    def add_block(r0, c0, M):
-        nz = np.nonzero(M)
-        rows.append(r0 + nz[0])
-        cols.append(c0 + nz[1])
-        vals.append(M[nz])
-
-    def add_nodes(nodes, M, shift, w):
-        nz = np.nonzero(M)
-        if not nz[0].size:
-            return
-        nodes = np.asarray(nodes)
-        rows.append((nodes[:, None] * m + nz[0][None, :]).ravel())
-        cols.append(((nodes[:, None] + shift) * m + nz[1][None, :]).ravel())
-        vals.append(np.tile(w * M[nz], nodes.size))
-
-    # d/dy through characteristic-biased third-order stencils; a pure
-    # central scheme leaves sawtooth modes of the non-relaxing moments
-    # undetermined
-    dec = characteristic_decomposition(sys)
-    A_up, A_dn = dec.split_fluxes(A)
-    core = np.arange(2, N - 1)
-    add_nodes(core, A_up, -2, 1.0 / (6 * h))
-    add_nodes(core, A_up, -1, -6.0 / (6 * h))
-    add_nodes(core, A_up, 0, 3.0 / (6 * h))
-    add_nodes(core, A_up, +1, 2.0 / (6 * h))
-    add_nodes([1], A_up, -1, -1.0 / (2 * h))
-    add_nodes([1], A_up, +1, 1.0 / (2 * h))
-    core = np.arange(1, N - 2)
-    add_nodes(core, A_dn, -1, -2.0 / (6 * h))
-    add_nodes(core, A_dn, 0, -3.0 / (6 * h))
-    add_nodes(core, A_dn, +1, 6.0 / (6 * h))
-    add_nodes(core, A_dn, +2, -1.0 / (6 * h))
-    add_nodes([N - 2], A_dn, -1, -1.0 / (2 * h))
-    add_nodes([N - 2], A_dn, +1, 1.0 / (2 * h))
-    # relaxation on the diagonal
-    interior = np.arange(1, N - 1)
-    pa = np.nonzero(P)[0]
-    rows.append((interior[:, None] * m + pa[None, :]).ravel())
-    cols.append((interior[:, None] * m + pa[None, :]).ravel())
-    vals.append(np.tile(P[pa], interior.size))
-
-    even = np.arange(n_o, m)
-    Ae = A[even, :]
-    # lower wall: boundary rows then one-sided (forward) even rows
-    add_block(0, 0, bc_lower.B)
-    for node, w in ((0, -11.0 / (6 * h)), (1, 18.0 / (6 * h)),
-                    (2, -9.0 / (6 * h)), (3, 2.0 / (6 * h))):
-        add_block(0 * m + n_o, node * m, w * Ae)
-    rows.append(even)
-    cols.append(even)
-    vals.append(P[even])
-    # upper wall: one-sided (backward) even rows then boundary rows
     top = (N - 1) * m
-    add_block(top, top, bc_upper.B)
-    for node, w in ((N - 1, 11.0 / (6 * h)), (N - 2, -18.0 / (6 * h)),
-                    (N - 3, 9.0 / (6 * h)), (N - 4, -2.0 / (6 * h))):
-        add_block(top + n_o, node * m, w * Ae)
-    rows.append(top + even)
-    cols.append(top + even)
-    vals.append(P[even])
 
     rhs = np.zeros(size + 1)
     F = source_vector(bs, cfg.source_amplitude, y)
@@ -242,30 +225,23 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
     rhs[top:top + n_o] = bc_upper.rhs(wall)
 
     # zero-total-density gauge via a bordered system
-    i_rho = bs.index_of(0, 0, ())
-    rho_slots = np.arange(N) * m + i_rho
-    rows.append(np.full(N, size))
-    cols.append(rho_slots)
-    vals.append(np.ones(N))
-    rows.append(rho_slots)
-    cols.append(np.full(N, size))
-    vals.append(np.ones(N))
-
-    K = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(size + 1, size + 1))
+    rho_slots = np.arange(N) * m + bs.index_of(0, 0, ())
+    gauge = sp.csr_matrix((np.ones(N), (np.zeros(N, dtype=int), rho_slots)),
+                          shape=(1, size))
+    K = sp.bmat([[_steady_operator(cfg, sys, bc_upper, bc_lower,
+                                   characteristic_decomposition(sys)),
+                  gauge.T.tocsr()],
+                 [gauge, sp.csr_matrix((1, 1))]], format="csr")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
         x = spla.spsolve(K, rhs)
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(
-            "steady system is singular; the theory lacks a moment needed to "
-            "balance the heating (fewer than 20 moments) or boundary rows are "
-            "deficient")
     residual = float(np.abs((K @ x - rhs)[:size]).max())
     scale = max(float(np.abs(rhs).max()), 1e-30)
-    if residual > 1e-8 * scale:
-        raise RuntimeError(f"steady solve residual {residual:.3e} exceeds tolerance")
+    if not np.all(np.isfinite(x)) or residual > 1e-8 * scale:
+        raise RuntimeError(
+            f"steady solve residual {residual:.3e} exceeds tolerance; the "
+            "theory lacks a moment needed to balance the heating (fewer than "
+            "20 moments) or boundary rows are deficient")
 
     alpha = x[:size].reshape(N, m)
     fields = extract_fields(bs, alpha)
@@ -307,15 +283,6 @@ def reference_solution(cfg: ChannelConfig, theories=None) -> ChannelSolution:
                            fields=fields, diagnostics=diagnostics)
 
 
-def error_profile(sol: ChannelSolution, ref: ChannelSolution) -> ErrorProfile:
-    """Pointwise absolute differences of temperature and normal stress."""
-    if sol.y.shape != ref.y.shape or not np.allclose(sol.y, ref.y):
-        raise ValueError("solutions live on different grids")
-    return ErrorProfile(y=sol.y.copy(),
-                        e_theta=np.abs(sol.fields["theta"] - ref.fields["theta"]),
-                        e_sigma=np.abs(sol.fields["sigma_yy"] - ref.fields["sigma_yy"]))
-
-
 @dataclass(frozen=True)
 class MarchResult:
     config: ChannelConfig
@@ -336,7 +303,12 @@ class MarchResult:
 
 def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
     """Semi-discrete operator d alpha/dt = M alpha + b with boundary
-    conditions built into the wall rows."""
+    conditions built into the wall rows.
+
+    d/dy goes through second-order upwind characteristic splitting, first
+    order next to the walls.  The wall even rows use one-sided second-order
+    differences; the wall odd rows are slaved to them through the gain.
+    """
     m = sys.size
     n_o = sys.n_o
     N = cfg.n_grid
@@ -346,78 +318,19 @@ def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
     P = sys.P_bgk / cfg.kn
     A_up, A_dn = dec.split_fluxes(A)
 
-    rows, cols, vals = [], [], []
+    terms = [(_stencil(N, _UPWIND2, h), -A_up),
+             (_stencil(N, _DOWNWIND2, h), -A_dn),
+             (_stencil(N, _INTERIOR), -P)]
+    for k, bc in enumerate((bc_lower, bc_upper)):
+        slave = np.vstack([bc.gain(), np.eye(m - n_o)])
+        terms += [(_stencil(N, _WALL2[k:k + 1], h), -slave @ A[n_o:]),
+                  (_stencil(N, _WALLS[k:k + 1]), -slave @ P[n_o:])]
+    M_op = _kron_sum(terms)
 
-    def add(r0, c0, M):
-        nz = np.nonzero(M)
-        if nz[0].size:
-            rows.append(r0 + nz[0])
-            cols.append(c0 + nz[1])
-            vals.append(M[nz])
-
-    def add_nodes(nodes, M, shift, w):
-        nz = np.nonzero(M)
-        if not nz[0].size:
-            return
-        nodes = np.asarray(nodes)
-        rows.append((nodes[:, None] * m + nz[0][None, :]).ravel())
-        cols.append(((nodes[:, None] + shift) * m + nz[1][None, :]).ravel())
-        vals.append(np.tile(w * M[nz], nodes.size))
-
-    # upwind part (information from the left): second order where possible
-    core = np.arange(2, N - 1)
-    add_nodes(core, A_up, 0, -3.0 / (2 * h))
-    add_nodes(core, A_up, -1, 4.0 / (2 * h))
-    add_nodes(core, A_up, -2, -1.0 / (2 * h))
-    add_nodes([1], A_up, 0, -1.0 / h)
-    add_nodes([1], A_up, -1, 1.0 / h)
-    # downwind part (information from the right)
-    core = np.arange(1, N - 2)
-    add_nodes(core, A_dn, 0, 3.0 / (2 * h))
-    add_nodes(core, A_dn, +1, -4.0 / (2 * h))
-    add_nodes(core, A_dn, +2, 1.0 / (2 * h))
-    add_nodes([N - 2], A_dn, 0, 1.0 / h)
-    add_nodes([N - 2], A_dn, +1, -1.0 / h)
-    # relaxation at all interior nodes
-    interior = np.arange(1, N - 1)
-    add_nodes(interior, -P, 0, 1.0)
-
-    b = np.zeros(N * m)
     F = source_vector(sys.basis, cfg.source_amplitude, y)
-    b[:] = F.ravel()
-    b[0:m] = 0.0
-    b[(N - 1) * m:] = 0.0
-
-    # wall even rows: one-sided full flux, then relaxation and source
-    even = np.arange(n_o, m)
-    Ae = A[even, :]
-    Pe = P[even, :]
-    lower_even = np.zeros((m - n_o, 3 * m))
-    for node, w in ((0, 3.0 / (2 * h)), (1, -4.0 / (2 * h)), (2, 1.0 / (2 * h))):
-        lower_even[:, node * m:(node + 1) * m] += w * Ae
-    lower_even[:, 0:m] -= Pe
-    upper_even = np.zeros((m - n_o, 3 * m))
-    for node, w in ((2, -3.0 / (2 * h)), (1, 4.0 / (2 * h)), (0, -1.0 / (2 * h))):
-        upper_even[:, node * m:(node + 1) * m] += w * Ae
-    upper_even[:, 2 * m:] -= Pe
-    b_lower_even = F[0, even]
-    b_upper_even = F[N - 1, even]
-
-    # wall odd rows are slaved to the even rows through the gain
-    lower_odd = bc_lower.gain() @ lower_even
-    upper_odd = bc_upper.gain() @ upper_even
-    add(0, 0, lower_odd)
-    add(n_o, 0, lower_even)
-    add((N - 1) * m, (N - 3) * m, upper_odd)
-    add((N - 1) * m + n_o, (N - 3) * m, upper_even)
-    b[0:n_o] = bc_lower.gain() @ b_lower_even
-    b[n_o:m] = b_lower_even
-    b[(N - 1) * m:(N - 1) * m + n_o] = bc_upper.gain() @ b_upper_even
-    b[(N - 1) * m + n_o:] = b_upper_even
-
-    M_op = sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N * m, N * m))
+    b = F.ravel().copy()
+    for node, bc in ((0, bc_lower), (N - 1, bc_upper)):
+        b[node * m:node * m + n_o] = bc.gain() @ F[node, n_o:]
     return M_op, b
 
 

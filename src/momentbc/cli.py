@@ -73,12 +73,6 @@ class RunConfig:
     subcommand: str
     values: dict = field(default_factory=dict)
 
-    def __getattr__(self, name):
-        values = object.__getattribute__(self, "values")
-        if name in values:
-            return values[name]
-        raise AttributeError(name)
-
 
 def _merge(args: argparse.Namespace, file_values: dict) -> RunConfig:
     values = dict(DEFAULTS)

@@ -176,13 +176,13 @@ def test_criterion_07_channel_physics(degree):
     assert d["flux_balance_target"] == pytest.approx(target, rel=1e-12)
     assert abs(d["flux_balance"] - target) < 1e-6
     assert d["symmetry_error"] < 1e-6
-    jump = sol.theta[0] - 1.0
+    jump = sol.fields["theta"][0] - 1.0
     assert abs(jump) > 1e-3
-    assert np.abs(sol.sigma_yy).max() > 1e-3
+    assert np.abs(sol.fields["sigma_yy"]).max() > 1e-3
     print(f"criterion 07 channel physics [{cfg.theory.name}]: PASS "
           f"(v_y {d['max_v_y']:.1e}, flux err "
           f"{abs(d['flux_balance'] - target):.1e}, sym {d['symmetry_error']:.1e}, "
-          f"jump {jump:+.4f}, max sigma {np.abs(sol.sigma_yy).max():.3e})")
+          f"jump {jump:+.4f}, max sigma {np.abs(sol.fields['sigma_yy']).max():.3e})")
 
 
 def test_criterion_07_theory_without_heat_flux_is_rejected():
@@ -197,11 +197,11 @@ def test_criterion_08_grid_convergence():
     theory = grad_theory(3, "planar")
     sys_ = assemble_system(theory, normal_axis="y", axes=("y",))
     fine = solve_steady(ChannelConfig(theory=theory, n_grid=1024), sys=sys_)
-    spline = CubicSpline(fine.y, fine.theta)
+    spline = CubicSpline(fine.y, fine.fields["theta"])
     errors = []
     for n in (64, 128, 256):
         sol = solve_steady(ChannelConfig(theory=theory, n_grid=n), sys=sys_)
-        errors.append(np.abs(sol.theta - spline(sol.y)).max())
+        errors.append(np.abs(sol.fields["theta"] - spline(sol.y)).max())
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9, (errors, orders)
     print(f"criterion 08 grid convergence: PASS (errors {errors}, orders {orders})")
