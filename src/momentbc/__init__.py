@@ -13,7 +13,7 @@ from .tensor import (AXES, FULL3D, PLANAR, ComponentBasis, canonical,
                      multisets, parity)
 from .basis import (BasisFunction, BasisSet, Polynomial3,
                     build_basis_set, harmonic_tensor, inner_full, inner_half,
-                    laguerre_radial, verify_orthogonality)
+                    verify_orthogonality)
 from .system import (CharacteristicDecomposition, MomentSystem, MomentTheory,
                      assemble_flux, assemble_symmetrizer, assemble_system,
                      bgk_projector, characteristic_decomposition, grad_theory,

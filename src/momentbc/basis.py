@@ -5,6 +5,11 @@ in xi.xi/2 and a trace-free harmonic tensor component; they are orthonormal
 (in the trace-free tensor sense) under the unit Gaussian weight.  Working
 units fix the reference density and temperature to one, so every integral
 reduces to standard or half-range moments of the unit normal distribution.
+
+Every Gaussian integral is one array product: the polynomials of each side
+are stacked as coefficient rows over the monomial exponents they use, and
+the moment table between those exponents sits in the middle,
+G = C_p @ W @ C_q^T (see `_gram`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import (AXES, FULL3D, canonical, independent_components,
+from .tensor import (AXES, canonical, independent_components,
                      multiplicity, multisets, parity, trace_expansion)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -123,32 +128,44 @@ def _half_moment(k: int) -> float:
     return (k - 1) * _half_moment(k - 2)
 
 
+def _coefficients(polys):
+    """Coefficient rows of polys over the exponents they use, and those
+    exponents as an (n, 3) integer array."""
+    index = {}
+    for p in polys:
+        for e in p.terms:
+            index.setdefault(e, len(index))
+    C = np.zeros((len(polys), len(index)))
+    for i, p in enumerate(polys):
+        for e, c in p.terms.items():
+            C[i, index[e]] = c
+    return C, np.array(list(index), dtype=int).reshape(-1, 3)
+
+
+def _gram(ps, qs, axis=None, half=None) -> np.ndarray:
+    """Gaussian moment matrix G[i, j] = <p_i, xi_axis q_j>.
+
+    With axis None the xi_axis factor is dropped; with half naming an axis
+    the integral runs over the half space xi_half > 0 only.
+    """
+    Cp, ep = _coefficients(ps)
+    Cq, eq = _coefficients(qs)
+    W = np.ones((len(ep), len(eq)))
+    for a, name in enumerate(AXES):
+        k = ep[:, a, None] + eq[None, :, a] + (name == axis)
+        moment = _half_moment if name == half else _full_moment
+        W *= np.array([moment(i) for i in range(k.max(initial=0) + 1)])[k]
+    return Cp @ W @ Cq.T
+
+
 def inner_full(p: Polynomial3, q: Polynomial3) -> float:
     """Gaussian inner product over all velocity space."""
-    total = 0.0
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            i, j, k = e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]
-            if (i | j | k) & 1:
-                continue
-            total += c1 * c2 * _full_moment(i) * _full_moment(j) * _full_moment(k)
-    return total
+    return float(_gram([p], [q])[0, 0])
 
 
 def inner_half(p: Polynomial3, q: Polynomial3, axis: str = "x") -> float:
     """Gaussian inner product restricted to the half space xi_axis > 0."""
-    n = _AXIS_INDEX[axis]
-    total = 0.0
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            factor = 1.0
-            for i in range(3):
-                factor *= _half_moment(e[i]) if i == n else _full_moment(e[i])
-                if factor == 0.0:
-                    break
-            total += c1 * c2 * factor
-    return total
+    return float(_gram([p], [q], half=axis)[0, 0])
 
 
 def laguerre_coefficients(n: int, s: int) -> list:
@@ -170,16 +187,6 @@ def laguerre_coefficients(n: int, s: int) -> list:
             ratio *= Fraction(2 * (n + j) + 3, 2)
         coeffs.append(norm * float(ratio) * (-1) ** p * math.comb(s, p))
     return coeffs
-
-
-def laguerre_radial(n: int, s: int) -> dict:
-    """Radial polynomial in x = xi.xi/2 as {power: coefficient}.
-
-    Includes the 2^{n/2} x^{n/2} prefactor, so powers are half-integers for
-    odd tensor rank n (keys are Fractions).
-    """
-    pref = 2.0 ** (n / 2.0)
-    return {Fraction(n, 2) + p: pref * c for p, c in enumerate(laguerre_coefficients(n, s))}
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +267,7 @@ def _make_basis_function(n, s, component):
     t = canonical(component)
     return BasisFunction(rank=n, radial=s, component=t,
                          poly=basis_polynomial(n, s, t),
-                         parity_x=parity(t, s, "x"), parity_y=parity(t, s, "y"))
+                         parity_x=parity(t, "x"), parity_y=parity(t, "y"))
 
 
 @dataclass(frozen=True)
@@ -297,7 +304,7 @@ class BasisSet:
 
     def parity_signs(self, axis: str) -> np.ndarray:
         """Diagonal of the state-space reflection for one axis."""
-        return np.array([-1.0 if parity(bf.component, bf.radial, axis) == "odd" else 1.0
+        return np.array([-1.0 if parity(bf.component, axis) == "odd" else 1.0
                          for bf in self.entries])
 
     def blocks(self):
@@ -335,7 +342,7 @@ def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
         for s in range(theory.radial_counts[n]):
             for ci, comp in enumerate(independent_components(n, theory.reduction)):
                 bf = _make_basis_function(n, s, comp)
-                odd = 0 if parity(comp, s, normal_axis) == "odd" else 1
+                odd = 0 if parity(comp, normal_axis) == "odd" else 1
                 items.append(((odd, bf.degree, bf.rank, ci), bf))
     items.sort(key=lambda kv: kv[0])
     entries = tuple(bf for _, bf in items)
@@ -359,10 +366,6 @@ class OrthogonalityReport:
 def verify_orthogonality(bs: BasisSet) -> OrthogonalityReport:
     """Check the reconstruction identity: testing the expanded distribution
     behind moment b with basis function a recovers the identity matrix."""
-    m = bs.size
-    gram = np.empty((m, m))
-    for i, bf in enumerate(bs.entries):
-        for j in range(m):
-            gram[i, j] = inner_full(bf.poly, bs.expanded[j])
+    gram = _gram([bf.poly for bf in bs.entries], bs.expanded)
     return OrthogonalityReport(matrix=gram,
-                               max_deviation=float(np.abs(gram - np.eye(m)).max()))
+                               max_deviation=float(np.abs(gram - np.eye(bs.size)).max()))

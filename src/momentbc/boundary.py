@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, Polynomial3, basis_polynomial, inner_half
+from .basis import Polynomial3, _gram
 from .system import MomentSystem
 
 
@@ -62,15 +62,11 @@ def assemble_mbc(sys: MomentSystem):
     if odd[0].rank != 1 or odd[0].radial != 0:
         raise ValueError("first odd moment must be the normal velocity")
 
-    # half-space moments of the even reconstruction against odd tests
-    H = np.empty((n_o, n_e))
-    for j in range(n_e):
-        g = bs.expanded[n_o + j]
-        for i, bf in enumerate(odd):
-            H[i, j] = inner_half(bf.poly, g, axis)
-    # wall Maxwellian column for the density
-    one = Polynomial3.constant(1.0)
-    w0 = np.array([inner_half(bf.poly, one, axis) for bf in odd])
+    # half-space moments of the even reconstruction against odd tests, with
+    # the wall Maxwellian column for the density appended
+    G = _gram([bf.poly for bf in odd],
+              bs.expanded[n_o:] + (Polynomial3.constant(1.0),), half=axis)
+    H, w0 = G[:, :n_e], G[:, n_e]
     if abs(w0[0]) < 1e-14:
         raise ValueError("degenerate no-penetration moment")
     # eliminate the wall density via the first (no-penetration) row

@@ -289,6 +289,8 @@ def _combined_stability(sys_, dec, chi) -> dict:
         "cond_Aoe_hat": obc["obc_diagnostics"].get("cond_Aoe_hat"),
         "kernel_residuals": {"mbc": mbc["kernel_residual"],
                              "obc": obc["kernel_residual"]},
+        "min_schur_eig": {"mbc": mbc["min_schur_eig"],
+                          "obc": obc["min_schur_eig"]},
     }
 
 

@@ -9,15 +9,13 @@ symmetric and splits the wall-normal flux into odd/even blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (FULL3D, PLANAR, REDUCTIONS, multiplicity, multisets,
                      trace_expansion)
-from .basis import (BasisSet, Polynomial3, basis_polynomial, build_basis_set,
-                    inner_full)
+from .basis import BasisSet, _gram, basis_polynomial, build_basis_set
 
 
 @dataclass(frozen=True)
@@ -90,14 +88,7 @@ def assemble_symmetrizer(bs: BasisSet) -> np.ndarray:
 
 def assemble_flux(bs: BasisSet, axis: str = "x") -> np.ndarray:
     """Flux matrix A^(axis): moments of xi_axis times the reconstruction."""
-    m = bs.size
-    xi = Polynomial3.axis(axis)
-    A = np.empty((m, m))
-    for j in range(m):
-        flux = xi * bs.expanded[j]
-        for i, bf in enumerate(bs.entries):
-            A[i, j] = inner_full(bf.poly, flux)
-    return A
+    return _gram([bf.poly for bf in bs.entries], bs.expanded, axis=axis)
 
 
 def bgk_projector(bs: BasisSet) -> np.ndarray:
@@ -129,18 +120,13 @@ def verify_full_symmetry(bs: BasisSet, axis: str = "x") -> SymmetryReport:
     """
     funcs = []
     reduction = bs.theory.reduction
-    zmax = 1 if reduction == FULL3D else 0
     for (n, s) in bs.blocks():
         for ms in multisets(n):
             if reduction == PLANAR and ms.count("z") % 2:
                 continue
             funcs.append((ms, basis_polynomial(n, s, ms)))
-    xi = Polynomial3.axis(axis)
-    k = len(funcs)
-    C = np.empty((k, k))
-    for i, (_, p) in enumerate(funcs):
-        for j, (_, q) in enumerate(funcs):
-            C[i, j] = inner_full(p, xi * q)
+    polys = [p for _, p in funcs]
+    C = _gram(polys, polys, axis=axis)
     asym = float(np.abs(C - C.T).max())
     odd = np.array([ms.count(axis) % 2 == 1 for ms, _ in funcs])
     max_oo = float(np.abs(C[np.ix_(odd, odd)]).max()) if odd.any() else 0.0

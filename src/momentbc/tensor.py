@@ -56,12 +56,11 @@ def multiplicity(t) -> int:
     return math.factorial(len(t)) // denom
 
 
-def parity(t, s: int = 0, axis: str = "x") -> str:
+def parity(t, axis: str = "x") -> str:
     """Sign behaviour ('odd' or 'even') under reflection of one velocity axis.
 
     The radial factor of a basis function is even in every component, so the
-    parity is set by the count of `axis` among the tensor indices alone; the
-    radial index s is accepted for interface symmetry.
+    parity is set by the count of `axis` among the tensor indices alone.
     """
     return "odd" if canonical(t).count(axis) % 2 else "even"
 

@@ -1,17 +1,16 @@
 """Basis polynomials and Gaussian-weighted inner products."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from momentbc.basis import (Polynomial3, basis_polynomial, build_basis_set,
+from momentbc.basis import (Polynomial3, _full_moment, _gram, _half_moment,
+                            basis_polynomial, build_basis_set,
                             harmonic_tensor, inner_full, inner_half,
-                            laguerre_coefficients, laguerre_radial,
-                            verify_orthogonality)
-from momentbc.system import grad_theory
+                            laguerre_coefficients, verify_orthogonality)
+from momentbc.system import assemble_flux, grad_theory
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -97,14 +96,58 @@ def test_half_plus_reflected_half_is_full():
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+def loop_inner(p, q, half=None):
+    """Oracle: one Gaussian moment per pair of monomials, summed in a loop."""
+    total = 0.0
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            factor = 1.0
+            for name, i, j in zip("xyz", e1, e2):
+                moment = _half_moment if name == half else _full_moment
+                factor *= moment(i + j)
+            total += c1 * c2 * factor
+    return total
+
+
+def random_polynomials(rng, count, degree=6):
+    exps = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1 - i)
+            for k in range(degree + 1 - i - j)]
+    out = [Polynomial3()]
+    for _ in range(count - 1):
+        pick = rng.choice(len(exps), size=rng.integers(1, 9), replace=False)
+        out.append(Polynomial3({exps[i]: rng.standard_normal() for i in pick}))
+    return out
+
+
+@pytest.mark.parametrize("axis,half", [(None, None), ("x", None), ("y", None),
+                                       ("z", None), (None, "x"), (None, "y")])
+def test_gram_matches_loop_oracle(axis, half):
+    rng = np.random.default_rng(7)
+    ps = random_polynomials(rng, 12)
+    qs = random_polynomials(rng, 9)
+    xi = Polynomial3.axis(axis) if axis else Polynomial3.constant()
+    ref = np.array([[loop_inner(p, xi * q, half) for q in qs] for p in ps])
+    G = _gram(ps, qs, axis=axis, half=half)
+    assert G.shape == (12, 9)
+    assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
+    assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("normal", ["x", "y"])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_full3d_normal_flux_parity_blocks_exactly_zero(degree, normal):
+    bs = build_basis_set(grad_theory(degree, "full3d"), normal)
+    A = assemble_flux(bs, normal)
+    n_o = bs.n_o
+    assert np.all(A[:n_o, :n_o] == 0.0)
+    assert np.all(A[n_o:, n_o:] == 0.0)
+    assert np.abs(A[:n_o, n_o:]).max() > 0.5
+
+
 def test_laguerre_frozen_coefficients():
     assert laguerre_coefficients(0, 0) == [1.0]
     c = laguerre_coefficients(0, 1)
     assert np.allclose(c, [math.sqrt(2.0 / 3.0) * 1.5, -math.sqrt(2.0 / 3.0)])
-    rad = laguerre_radial(2, 0)
-    assert rad == pytest.approx({Fraction(1): math.sqrt(2.0)})
-    rad = laguerre_radial(1, 0)
-    assert rad == pytest.approx({Fraction(1, 2): math.sqrt(2.0)})
 
 
 def test_laguerre_rejects_negative_orders():

@@ -136,6 +136,13 @@ def test_check_stability_scan(capsys):
     assert len(scan) == 3
     assert [s["chi"] for s in scan] == [0.5, 0.75, 1.0]
     assert all(s["obc_stable"] for s in scan)
+    for entry in scan:
+        for kind in ("mbc", "obc"):
+            value = entry["min_schur_eig"][kind]
+            assert np.isfinite(value), (entry["chi"], kind)
+            single = run_json(capsys, "check-stability", "--theory", "G20",
+                              "--bc", kind, "--chi", str(entry["chi"]))
+            assert value == single["min_schur_eig"], (entry["chi"], kind)
 
 
 def test_solve_channel_csv(capsys, tmp_path):

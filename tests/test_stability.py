@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from momentbc.basis import verify_orthogonality
 from momentbc.boundary import make_boundary_operator
 from momentbc.stability import check_stability, quadratic_form_H
-from momentbc.system import characteristic_decomposition
+from momentbc.system import characteristic_decomposition, verify_full_symmetry
 
 from conftest import cached_system
 
@@ -50,6 +51,18 @@ def test_verdict_table(degree, kind, expected):
     rep = report(degree, kind)
     assert rep.verdict == expected
     assert rep.stable == (expected == "stable")
+
+
+@pytest.mark.parametrize("degree,name", [(6, "G84"), (7, "G120"), (8, "G165")])
+def test_benchmark_degrees_verified_and_split(degree, name):
+    # the planar theories the benchmark assembles and scans
+    bs = cached_system(degree).basis
+    assert bs.theory.name == name
+    assert verify_orthogonality(bs).ok
+    for axis in ("x", "y", "z"):
+        assert verify_full_symmetry(bs, axis).ok, axis
+    assert report(degree, "mbc").verdict == "unstable"
+    assert report(degree, "obc").verdict == "stable"
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])

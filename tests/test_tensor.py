@@ -152,9 +152,8 @@ def test_row_accessor_matches_matrix():
 
 
 def test_parity_follows_axis_count():
-    assert tensor.parity(("x",), 1, "x") == "odd"
-    assert tensor.parity(("x", "x"), 0, "x") == "even"
-    assert tensor.parity(("x", "y"), 0, "y") == "odd"
-    # the radial index never affects parity
-    assert tensor.parity((), 3, "z") == "even"
-    assert tensor.parity(("x", "y", "y"), 2, "y") == "even"
+    assert tensor.parity(("x",), "x") == "odd"
+    assert tensor.parity(("x", "x"), "x") == "even"
+    assert tensor.parity(("x", "y"), "y") == "odd"
+    assert tensor.parity((), "z") == "even"
+    assert tensor.parity(("x", "y", "y"), "y") == "even"
