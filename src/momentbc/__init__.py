@@ -8,11 +8,9 @@ decomposition and solves a heated-channel benchmark.
 
 __version__ = "0.1.0"
 
-from .tensor import (AXES, FULL3D, PLANAR, ComponentBasis, canonical,
-                     expansion_matrix, independent_components, multiplicity,
-                     multisets, parity)
-from .basis import (BasisFunction, BasisSet, Polynomial3,
-                    build_basis_set, harmonic_tensor, inner_full, inner_half,
+from .tensor import (AXES, FULL3D, PLANAR, canonical, independent_components,
+                     multiplicity, multisets, parity)
+from .basis import (BasisFunction, BasisSet, build_basis_set, harmonic_tensor,
                     verify_orthogonality)
 from .system import (CharacteristicDecomposition, MomentSystem, MomentTheory,
                      assemble_flux, assemble_symmetrizer, assemble_system,

@@ -6,10 +6,12 @@ in xi.xi/2 and a trace-free harmonic tensor component; they are orthonormal
 units fix the reference density and temperature to one, so every integral
 reduces to standard or half-range moments of the unit normal distribution.
 
-Every Gaussian integral is one array product: the polynomials of each side
-are stacked as coefficient rows over the monomial exponents they use, and
-the moment table between those exponents sits in the middle,
-G = C_p @ W @ C_q^T (see `_gram`).
+A polynomial is a dense coefficient array c[i, j, k] of
+xi_x^i xi_y^j xi_z^k (numpy's polyval3d convention); a theory stacks its
+polynomials as (count, D+1, D+1, D+1) arrays, D being its top degree.
+Every Gaussian integral is one array product: each stack is cut to the
+monomials it uses, and the moment table between those exponents sits in
+the middle, G = C_p @ W @ C_q^T (see `_gram`).
 """
 
 from __future__ import annotations
@@ -21,93 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import (AXES, canonical, independent_components,
-                     multiplicity, multisets, parity, trace_expansion)
+from .tensor import (AXES, _expansion, canonical, independent_components,
+                     parity)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
-class Polynomial3:
-    """Sparse polynomial in the three velocity components.
-
-    Terms are stored as {(i, j, k): coefficient} for xi_x^i xi_y^j xi_z^k.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(v) for v in e)
-                c = float(c)
-                if c != 0.0:
-                    data[e] = data.get(e, 0.0) + c
-        self.terms = {e: c for e, c in data.items() if c != 0.0}
-
-    @classmethod
-    def constant(cls, c=1.0):
-        return cls({(0, 0, 0): c})
-
-    @classmethod
-    def monomial(cls, exponents, c=1.0):
-        return cls({tuple(exponents): c})
-
-    @classmethod
-    def axis(cls, axis):
-        e = [0, 0, 0]
-        e[_AXIS_INDEX[axis]] = 1
-        return cls({tuple(e): 1.0})
-
-    def coefficient(self, exponents) -> float:
-        return self.terms.get(tuple(exponents), 0.0)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return Polynomial3(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) - c
-        return Polynomial3(out)
-
-    def __neg__(self):
-        return Polynomial3({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial3):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    out[e] = out.get(e, 0.0) + c1 * c2
-            return Polynomial3(out)
-        return Polynomial3({e: c * other for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def reflected(self, axis) -> "Polynomial3":
-        """Image under xi_axis -> -xi_axis."""
-        i = _AXIS_INDEX[axis]
-        return Polynomial3({e: c * (-1.0) ** e[i] for e, c in self.terms.items()})
-
-    def __call__(self, x, y, z):
-        total = 0.0
-        for (i, j, k), c in self.terms.items():
-            total = total + c * np.asarray(x) ** i * np.asarray(y) ** j * np.asarray(z) ** k
-        return total
-
-    def __repr__(self):
-        parts = [f"{c:+.6g}*x^{e[0]}y^{e[1]}z^{e[2]}" for e, c in sorted(self.terms.items())]
-        return "Polynomial3(" + " ".join(parts) + ")" if parts else "Polynomial3(0)"
 
 
 @lru_cache(maxsize=None)
@@ -128,28 +48,22 @@ def _half_moment(k: int) -> float:
     return (k - 1) * _half_moment(k - 2)
 
 
-def _coefficients(polys):
-    """Coefficient rows of polys over the exponents they use, and those
-    exponents as an (n, 3) integer array."""
-    index = {}
-    for p in polys:
-        for e in p.terms:
-            index.setdefault(e, len(index))
-    C = np.zeros((len(polys), len(index)))
-    for i, p in enumerate(polys):
-        for e, c in p.terms.items():
-            C[i, index[e]] = c
-    return C, np.array(list(index), dtype=int).reshape(-1, 3)
+def _used(C):
+    """Columns of a flattened stack that hold a nonzero coefficient, and
+    their exponents as an (n, 3) array."""
+    flat = C.reshape(len(C), -1)
+    cols = np.flatnonzero(flat.any(axis=0))
+    return flat[:, cols], np.column_stack(np.unravel_index(cols, C.shape[1:]))
 
 
-def _gram(ps, qs, axis=None, half=None) -> np.ndarray:
-    """Gaussian moment matrix G[i, j] = <p_i, xi_axis q_j>.
+def _gram(P, Q, axis=None, half=None) -> np.ndarray:
+    """Gaussian moment matrix G[i, j] = <P_i, xi_axis Q_j> of two stacks.
 
     With axis None the xi_axis factor is dropped; with half naming an axis
     the integral runs over the half space xi_half > 0 only.
     """
-    Cp, ep = _coefficients(ps)
-    Cq, eq = _coefficients(qs)
+    Cp, ep = _used(P)
+    Cq, eq = _used(Q)
     W = np.ones((len(ep), len(eq)))
     for a, name in enumerate(AXES):
         k = ep[:, a, None] + eq[None, :, a] + (name == axis)
@@ -158,14 +72,21 @@ def _gram(ps, qs, axis=None, half=None) -> np.ndarray:
     return Cp @ W @ Cq.T
 
 
-def inner_full(p: Polynomial3, q: Polynomial3) -> float:
-    """Gaussian inner product over all velocity space."""
-    return float(_gram([p], [q])[0, 0])
+def _stack(arrays, degree) -> np.ndarray:
+    """Zero-pad coefficient arrays to one (count, D+1, D+1, D+1) stack."""
+    out = np.zeros((len(arrays),) + (degree + 1,) * 3)
+    for c, a in zip(out, arrays):
+        c[:a.shape[0], :a.shape[1], :a.shape[2]] = a
+    return out
 
 
-def inner_half(p: Polynomial3, q: Polynomial3, axis: str = "x") -> float:
-    """Gaussian inner product restricted to the half space xi_axis > 0."""
-    return float(_gram([p], [q], half=axis)[0, 0])
+def _r2_power(m):
+    """Terms of (xi.xi)^m as (exponents, multinomial weight) pairs."""
+    for i in range(m + 1):
+        for j in range(m - i + 1):
+            w = math.factorial(m) // (math.factorial(i) * math.factorial(j)
+                                      * math.factorial(m - i - j))
+            yield (2 * i, 2 * j, 2 * (m - i - j)), w
 
 
 def laguerre_coefficients(n: int, s: int) -> list:
@@ -190,11 +111,12 @@ def laguerre_coefficients(n: int, s: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def harmonic_tensor(component) -> Polynomial3:
+def harmonic_tensor(component) -> np.ndarray:
     """Trace-free harmonic polynomial |xi|^n nu_t for the index tuple t.
 
     Built from n-fold differentiation of 1/|xi| carried out exactly on
-    rational terms of the form c x^a y^b z^c |xi|^{-k}.
+    rational terms of the form c x^a y^b z^c |xi|^{-k}; returned as an
+    (n+1, n+1, n+1) coefficient array.
     """
     t = canonical(component)
     n = len(t)
@@ -217,29 +139,42 @@ def harmonic_tensor(component) -> Polynomial3:
     for (a, b, c, k), coef in terms.items():
         m2 = 2 * n + 1 - k
         assert m2 >= 0 and m2 % 2 == 0
-        m = m2 // 2
-        for i in range(m + 1):
-            for j in range(m - i + 1):
-                w = math.factorial(m) // (math.factorial(i) * math.factorial(j)
-                                          * math.factorial(m - i - j))
-                e = (a + 2 * i, b + 2 * j, c + 2 * (m - i - j))
-                poly[e] = poly.get(e, Fraction(0)) + scale * coef * w
-    return Polynomial3({e: float(v) for e, v in poly.items()})
+        for (i, j, l), w in _r2_power(m2 // 2):
+            e = (a + i, b + j, c + l)
+            poly[e] = poly.get(e, Fraction(0)) + scale * coef * w
+    out = np.zeros((n + 1,) * 3)
+    for e, v in poly.items():
+        out[e] = float(v)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
-def basis_polynomial(n: int, s: int, component) -> Polynomial3:
-    """Polynomial of the basis function with rank n, radial index s."""
+def basis_polynomial(n: int, s: int, component) -> np.ndarray:
+    """Coefficient array, of shape (n+2s+1,) * 3, of the basis function
+    with rank n and radial index s."""
     t = canonical(component)
     if len(t) != n:
         raise ValueError(f"component {t} does not have rank {n}")
-    r2 = Polynomial3({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    radial = Polynomial3.constant(0.0)
-    power = Polynomial3.constant(1.0)
+    harmonic = harmonic_tensor(t)
+    out = np.zeros((n + 2 * s + 1,) * 3)
     for p, c in enumerate(laguerre_coefficients(n, s)):
-        radial = radial + (c * 0.5 ** p) * power
-        power = power * r2
-    return radial * harmonic_tensor(t)
+        for (i, j, k), w in _r2_power(p):
+            out[i:i + n + 1, j:j + n + 1, k:k + n + 1] += ((c * 0.5 ** p) * w) * harmonic
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reconstructions(n: int, s: int, reduction: str) -> np.ndarray:
+    """Polynomials (w E)^T P of the full trace-free expansion behind each
+    independent rank-n component at radial index s, with P the basis
+    polynomials of the kept multisets."""
+    kept, E, w = _expansion(n, reduction)
+    P = np.array([basis_polynomial(n, s, m) for m in kept])
+    R = ((w[:, None] * E).T @ P.reshape(len(kept), -1)).reshape((-1,) + P.shape[1:])
+    R.flags.writeable = False
+    return R
 
 
 @dataclass(frozen=True)
@@ -249,9 +184,6 @@ class BasisFunction:
     rank: int
     radial: int
     component: tuple
-    poly: Polynomial3
-    parity_x: str
-    parity_y: str
 
     @property
     def degree(self) -> int:
@@ -263,28 +195,23 @@ class BasisFunction:
         return f"a_{comp}^({self.radial})" if comp else f"a^({self.radial})"
 
 
-def _make_basis_function(n, s, component):
-    t = canonical(component)
-    return BasisFunction(rank=n, radial=s, component=t,
-                         poly=basis_polynomial(n, s, t),
-                         parity_x=parity(t, "x"), parity_y=parity(t, "y"))
-
-
 @dataclass(frozen=True)
 class BasisSet:
     """Ordered moment basis of one theory, split odd-first for a wall normal.
 
-    entries holds the independent basis functions; expanded[i] is the
-    polynomial of the full trace-free expansion behind entry i (the sum of
-    all 3^n ordered-tuple basis polynomials weighted by the expansion
-    coefficients), which is what appears when a distribution is
-    reconstructed from its moments.
+    entries holds the independent basis functions and polys their
+    coefficient arrays; expanded[i] is the polynomial of the full
+    trace-free expansion behind entry i (the sum of all 3^n ordered-tuple
+    basis polynomials weighted by the expansion coefficients), which is
+    what appears when a distribution is reconstructed from its moments.
+    Both stacks have shape (size, D+1, D+1, D+1).
     """
 
     theory: object
     normal_axis: str
     entries: tuple
-    expanded: tuple
+    polys: np.ndarray
+    expanded: np.ndarray
     n_o: int
     n_e: int
 
@@ -315,19 +242,6 @@ class BasisSet:
         return seen
 
 
-def _expanded_polynomial(n, s, component, reduction):
-    """Sum over all ordered tuples of the expansion behind one independent
-    component, grouped by multiset with multiplicity weights."""
-    expand = trace_expansion(n, reduction)
-    t = canonical(component)
-    out = Polynomial3.constant(0.0)
-    for m in multisets(n):
-        c = expand[m].get(t)
-        if c:
-            out = out + (float(c) * multiplicity(m)) * basis_polynomial(n, s, m)
-    return out
-
-
 def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
     """Enumerate and order the moments of a theory.
 
@@ -341,16 +255,18 @@ def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
     for n in range(theory.max_rank + 1):
         for s in range(theory.radial_counts[n]):
             for ci, comp in enumerate(independent_components(n, theory.reduction)):
-                bf = _make_basis_function(n, s, comp)
                 odd = 0 if parity(comp, normal_axis) == "odd" else 1
-                items.append(((odd, bf.degree, bf.rank, ci), bf))
+                items.append(((odd, n + 2 * s, n, ci), BasisFunction(n, s, comp)))
     items.sort(key=lambda kv: kv[0])
     entries = tuple(bf for _, bf in items)
     n_o = sum(1 for key, _ in items if key[0] == 0)
-    expanded = tuple(_expanded_polynomial(bf.rank, bf.radial, bf.component,
-                                          theory.reduction) for bf in entries)
+    degree = max(bf.degree for bf in entries)
+    polys = _stack([basis_polynomial(bf.rank, bf.radial, bf.component)
+                    for bf in entries], degree)
+    expanded = _stack([_reconstructions(bf.rank, bf.radial, theory.reduction)[ci]
+                       for (*_, ci), bf in items], degree)
     return BasisSet(theory=theory, normal_axis=normal_axis, entries=entries,
-                    expanded=expanded, n_o=n_o, n_e=len(entries) - n_o)
+                    polys=polys, expanded=expanded, n_o=n_o, n_e=len(entries) - n_o)
 
 
 @dataclass(frozen=True)
@@ -366,6 +282,6 @@ class OrthogonalityReport:
 def verify_orthogonality(bs: BasisSet) -> OrthogonalityReport:
     """Check the reconstruction identity: testing the expanded distribution
     behind moment b with basis function a recovers the identity matrix."""
-    gram = _gram([bf.poly for bf in bs.entries], bs.expanded)
+    gram = _gram(bs.polys, bs.expanded)
     return OrthogonalityReport(matrix=gram,
                                max_deviation=float(np.abs(gram - np.eye(bs.size)).max()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Polynomial3, _gram
+from .basis import _gram
 from .system import MomentSystem
 
 
@@ -62,11 +62,11 @@ def assemble_mbc(sys: MomentSystem):
     if odd[0].rank != 1 or odd[0].radial != 0:
         raise ValueError("first odd moment must be the normal velocity")
 
-    # half-space moments of the even reconstruction against odd tests, with
-    # the wall Maxwellian column for the density appended
-    G = _gram([bf.poly for bf in odd],
-              bs.expanded[n_o:] + (Polynomial3.constant(1.0),), half=axis)
-    H, w0 = G[:, :n_e], G[:, n_e]
+    # half-space moments of the even reconstruction against odd tests, and
+    # of the wall Maxwellian's density column (the unit polynomial)
+    unit = np.ones((1, 1, 1, 1))
+    H = _gram(bs.polys[:n_o], bs.expanded[n_o:], half=axis)
+    w0 = _gram(bs.polys[:n_o], unit, half=axis)[:, 0]
     if abs(w0[0]) < 1e-14:
         raise ValueError("degenerate no-penetration moment")
     # eliminate the wall density via the first (no-penetration) row
@@ -128,8 +128,11 @@ class BoundaryOperator:
         return 2.0 * self.beta * wall_inhomogeneity(self.g_columns, wall)
 
 
-def assemble_obc(sys: MomentSystem, M_mbc: np.ndarray, chi: float = 1.0,
-                 psd_tol: float = 1e-9):
+# relative tolerance for a negative eigenvalue of the Onsager response
+_PSD_TOL = 1e-9
+
+
+def assemble_obc(sys: MomentSystem, M_mbc: np.ndarray, chi: float = 1.0):
     """Onsager response L = 2 beta Mhat inv(Aoe_hat), symmetrized.
 
     Returns (L, diagnostics).  Raises if L fails to be symmetric positive
@@ -149,7 +152,7 @@ def assemble_obc(sys: MomentSystem, M_mbc: np.ndarray, chi: float = 1.0,
         raise ValueError(f"Onsager response not symmetric (deviation {asym:.3e})")
     L = 0.5 * (L_raw + L_raw.T)
     eigs = np.linalg.eigvalsh(L)
-    if eigs.min() < -psd_tol * max(eigs.max(), 1.0):
+    if eigs.min() < -_PSD_TOL * max(eigs.max(), 1.0):
         raise ValueError(f"Onsager response has negative eigenvalue {eigs.min():.3e}")
     diag = {"asymmetry": asym, "cond_Aoe_hat": cond,
             "min_eig_L": float(eigs.min()), "max_eig_L": float(eigs.max())}

@@ -341,10 +341,13 @@ def _apply_wall_state(alpha, bc_upper, bc_lower, wall, n_o):
     return alpha
 
 
+# the march stops as blown up once the energy exceeds this multiple of its scale
+_BLOWUP_FACTOR = 1e6
+
+
 def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
                       cfl: float = 0.4, init="zero", seed: int = 0,
-                      sys: MomentSystem = None, record_every: int = 1,
-                      blowup_factor: float = 1e6) -> MarchResult:
+                      sys: MomentSystem = None, record_every: int = 1) -> MarchResult:
     """Explicit march of the channel system recording the entropy energy.
 
     init is 'zero', 'random' (seeded nodal noise) or an (N, m) array; wall
@@ -399,7 +402,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
             e = energy(u)
             times.append((k + 1) * dt)
             energies.append(e)
-            if not np.isfinite(e) or e > blowup_factor * e_scale:
+            if not np.isfinite(e) or e > _BLOWUP_FACTOR * e_scale:
                 blowup = True
                 break
 

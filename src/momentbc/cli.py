@@ -49,7 +49,6 @@ DEFAULTS = {
     "init": "zero",
     "seed": 0,
     "homogeneous": False,
-    "nd": 3,
 }
 
 
@@ -112,8 +111,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON file with default option values")
         if theory:
             p.add_argument("--theory", required=False,
-                           help="named theory (G20) or 'custom' with --nd/--m")
-            p.add_argument("--nd", type=int, help="velocity dimension for --theory custom")
+                           help="named theory (G20) or 'custom' with --m")
             p.add_argument("--m", help="comma list of radial counts per tensor rank")
             p.add_argument("--reduction", choices=(PLANAR, FULL3D))
 
@@ -177,8 +175,6 @@ def resolve_theory(cfg: RunConfig) -> MomentTheory:
         raise UsageError("--theory is required")
     reduction = cfg.values.get("reduction") or PLANAR
     if name.lower() == "custom":
-        if cfg.values.get("nd") != 3:
-            raise UsageError("--theory custom supports --nd 3 only")
         raw = cfg.values.get("m")
         if not raw:
             raise UsageError("--theory custom requires --m rank counts")

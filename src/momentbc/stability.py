@@ -30,23 +30,31 @@ class StabilityReport:
         return self.verdict == "stable"
 
 
-def check_stability(dec: CharacteristicDecomposition, B: np.ndarray,
-                    kernel_tol: float = 1e-9,
-                    psd_tol: float = 1e-9,
-                    margin: float = 1e-10) -> StabilityReport:
+# kernel residual below which B annihilates the standing modes
+_KERNEL_TOL = 1e-9
+# reflection-form eigenvalues down to -_PSD_TOL (relative) count as neutral
+_PSD_TOL = 1e-9
+# margin above zero of the strict positivity reading
+_MARGIN = 1e-10
+
+
+def check_stability(dec: CharacteristicDecomposition, B: np.ndarray) -> StabilityReport:
     """Evaluate the two admissibility conditions for boundary rows B.
 
     B must have one row per incoming characteristic.  The first condition
-    is that the zero-speed block ||B X0|| vanishes relative to the scaled
-    operator norm; the second is positive semi-definiteness of the
-    reflection form R+^T Lam- R+ + Lam+ with R+ = -inv(B-) B+.
+    is that the zero-speed block B S^-1/2 X0 vanishes relative to the
+    scaled operator B S^-1/2; the kernel residual is the ratio of their
+    spectral norms, so it depends neither on the basis X0 that the
+    eigensolver picks for the degenerate zero eigenspace nor on a scaling
+    of B.  The second is positive semi-definiteness of the reflection form
+    R+^T Lam- R+ + Lam+ with R+ = -inv(B-) B+.
 
     A zero eigenvalue of the reflection form is a neutral, perfectly
     reflected mode: outgoing energy exactly balances incoming energy.
     The no-penetration row of a wall operator always produces one such
     mode, and since that row carries no wall data the mode cannot be
-    forced.  The verdict therefore accepts eigenvalues down to -psd_tol;
-    the strict reading (min eigenvalue > margin) is reported in
+    forced.  The verdict therefore accepts eigenvalues down to -_PSD_TOL;
+    the strict reading (min eigenvalue > _MARGIN) is reported in
     details["strictly_positive"].
     """
     B = np.asarray(B, dtype=float)
@@ -58,10 +66,10 @@ def check_stability(dec: CharacteristicDecomposition, B: np.ndarray,
     B_plus = Bt @ dec.X_plus
 
     # Relative residual keeps the verdict invariant under B -> c*B.
-    scale_B = float(np.abs(Bt).max()) if Bt.size else 1.0
-    raw_residual = float(np.abs(B_zero).max()) if B_zero.size else 0.0
+    scale_B = float(np.linalg.norm(Bt, 2)) if Bt.size else 1.0
+    raw_residual = float(np.linalg.norm(B_zero, 2)) if B_zero.size else 0.0
     kernel_residual = raw_residual / scale_B if scale_B > 0 else raw_residual
-    kernel_ok = kernel_residual < kernel_tol
+    kernel_ok = kernel_residual < _KERNEL_TOL
 
     sv = np.linalg.svd(B_minus, compute_uv=False)
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
@@ -80,9 +88,9 @@ def check_stability(dec: CharacteristicDecomposition, B: np.ndarray,
     eigs = np.linalg.eigvalsh(schur)
     min_eig = float(eigs.min()) if eigs.size else float("inf")
     scale = max(float(dec.lam_plus.max()) if dec.lam_plus.size else 1.0, 1.0)
-    psd_ok = min_eig >= -psd_tol * scale
-    details["strictly_positive"] = bool(min_eig > margin * scale)
-    details["n_schur_zero"] = int(np.sum(np.abs(eigs) <= psd_tol * scale))
+    psd_ok = min_eig >= -_PSD_TOL * scale
+    details["strictly_positive"] = bool(min_eig > _MARGIN * scale)
+    details["n_schur_zero"] = int(np.sum(np.abs(eigs) <= _PSD_TOL * scale))
     verdict = "stable" if (kernel_ok and psd_ok) else "unstable"
     return StabilityReport(verdict=verdict, kernel_ok=kernel_ok,
                            kernel_residual=kernel_residual,

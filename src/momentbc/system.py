@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (FULL3D, PLANAR, REDUCTIONS, multiplicity, multisets,
-                     trace_expansion)
-from .basis import BasisSet, _gram, basis_polynomial, build_basis_set
+from .tensor import (FULL3D, PLANAR, REDUCTIONS, _expansion,
+                     independent_components)
+from .basis import BasisSet, _gram, _stack, basis_polynomial, build_basis_set
 
 
 @dataclass(frozen=True)
@@ -67,28 +67,23 @@ def theory_from_name(name: str, reduction: str = PLANAR) -> MomentTheory:
 def assemble_symmetrizer(bs: BasisSet) -> np.ndarray:
     """Entropy symmetrizer: half the Gram matrix of the expansion columns.
 
-    S_ab = 1/2 sum_t E_ta E_tb over all ordered tuples t, evaluated per
-    (rank, radial) block with multiplicity weights.  Entries are exact
-    half-integers.
+    S_ab = 1/2 sum_t E_ta E_tb over all ordered tuples t, i.e. the block
+    1/2 E^T diag(w) E per (rank, radial) pair, with w the multiplicities.
+    Entries are exact half-integers.
     """
-    m = bs.size
-    S = np.zeros((m, m))
+    S = np.zeros((bs.size, bs.size))
     reduction = bs.theory.reduction
     for (n, s), cols in bs.blocks().items():
-        expand = trace_expansion(n, reduction)
-        comp_of = {bs.entries[i].component: i for i in cols}
-        for ms in multisets(n):
-            w = 0.5 * multiplicity(ms)
-            row = expand[ms]
-            for ca, va in row.items():
-                for cb, vb in row.items():
-                    S[comp_of[ca], comp_of[cb]] += w * float(va) * float(vb)
+        _, E, w = _expansion(n, reduction)
+        indep = independent_components(n, reduction)
+        E = E[:, [indep.index(bs.entries[i].component) for i in cols]]
+        S[np.ix_(cols, cols)] = 0.5 * ((E.T * w) @ E)
     return S
 
 
 def assemble_flux(bs: BasisSet, axis: str = "x") -> np.ndarray:
     """Flux matrix A^(axis): moments of xi_axis times the reconstruction."""
-    return _gram([bf.poly for bf in bs.entries], bs.expanded, axis=axis)
+    return _gram(bs.polys, bs.expanded, axis=axis)
 
 
 def bgk_projector(bs: BasisSet) -> np.ndarray:
@@ -118,17 +113,13 @@ def verify_full_symmetry(bs: BasisSet, axis: str = "x") -> SymmetryReport:
     theory's basis functions and reports the worst asymmetry, plus the
     largest odd-odd entry for the wall normal (exact zero by parity).
     """
-    funcs = []
     reduction = bs.theory.reduction
-    for (n, s) in bs.blocks():
-        for ms in multisets(n):
-            if reduction == PLANAR and ms.count("z") % 2:
-                continue
-            funcs.append((ms, basis_polynomial(n, s, ms)))
-    polys = [p for _, p in funcs]
-    C = _gram(polys, polys, axis=axis)
+    funcs = [(m, basis_polynomial(n, s, m))
+             for n, s in bs.blocks() for m in _expansion(n, reduction)[0]]
+    P = _stack([p for _, p in funcs], bs.polys.shape[1] - 1)
+    C = _gram(P, P, axis=axis)
     asym = float(np.abs(C - C.T).max())
-    odd = np.array([ms.count(axis) % 2 == 1 for ms, _ in funcs])
+    odd = np.array([m.count(axis) % 2 == 1 for m, _ in funcs])
     max_oo = float(np.abs(C[np.ix_(odd, odd)]).max()) if odd.any() else 0.0
     return SymmetryReport(axis=axis, max_asymmetry=asym, max_odd_odd=max_oo)
 
@@ -242,8 +233,12 @@ class CharacteristicDecomposition:
         return up, dn
 
 
-def characteristic_decomposition(sys: MomentSystem, orientation: int = +1,
-                                 zero_tol: float = 1e-10) -> CharacteristicDecomposition:
+# eigenvalues within _ZERO_TOL of the largest speed (or of 1) are standing modes
+_ZERO_TOL = 1e-10
+
+
+def characteristic_decomposition(sys: MomentSystem,
+                                 orientation: int = +1) -> CharacteristicDecomposition:
     """Orthogonal eigendecomposition of the scaled wall-normal flux.
 
     orientation -1 selects the wall whose outward normal points along the
@@ -266,7 +261,7 @@ def characteristic_decomposition(sys: MomentSystem, orientation: int = +1,
     if asym > 1e-8:
         raise ValueError(f"scaled flux not symmetric (deviation {asym:.3e})")
     lam, X = np.linalg.eigh(0.5 * (M + M.T))
-    cut = zero_tol * max(np.abs(lam).max(), 1.0)
+    cut = _ZERO_TOL * max(np.abs(lam).max(), 1.0)
     neg = lam < -cut
     pos = lam > cut
     zero = ~(neg | pos)

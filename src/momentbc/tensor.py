@@ -5,17 +5,17 @@ small set of components is independent: 2n+1 in full 3D, n+1 once the state
 is restricted to fields that are even in the z velocity component (the
 planar reduction used for slab geometries).  This module enumerates
 components, resolves the trace constraints exactly over the rationals and
-exposes the expansion matrix that maps independent components to all 3^n
-ordered index tuples.
+holds the one expansion matrix that maps independent components to the
+multisets of a rank, which the basis, the symmetrizer and the symmetry
+check all share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -42,11 +42,6 @@ def canonical(indices) -> tuple:
 def multisets(n: int) -> list:
     """All distinct rank-n components as sorted tuples, lexicographic order."""
     return list(combinations_with_replacement(AXES, n))
-
-
-def full_tuples(n: int) -> list:
-    """All 3^n ordered index tuples of rank n."""
-    return list(product(AXES, repeat=n))
 
 
 def multiplicity(t) -> int:
@@ -115,40 +110,21 @@ def trace_expansion(n: int, reduction: str = FULL3D) -> dict:
     return {m: expand(m) for m in multisets(n)}
 
 
-@dataclass(frozen=True)
-class ComponentBasis:
-    """Expansion of a rank-n trace-free symmetric tensor from its chart.
+@lru_cache(maxsize=None)
+def _expansion(n: int, reduction: str = FULL3D):
+    """The rank-n trace expansion as arrays: (kept, E, w).
 
-    matrix has one row per ordered index tuple (3^n rows, same order as
-    `tuples`) and one column per independent component; entries are small
-    integers stored as floats.
+    kept lists the multisets whose expansion is not identically zero (all
+    of them in full 3D, those with an even z count in the planar
+    reduction), E[multiset, independent component] holds the expansion
+    coefficients and w the multiplicities.  A sum over all 3^n ordered
+    index tuples is the w-weighted sum over kept.
     """
-
-    rank: int
-    reduction: str
-    independent: tuple
-    tuples: tuple
-    matrix: np.ndarray
-
-    def row(self, t) -> np.ndarray:
-        """Expansion coefficients of one ordered tuple (or multiset)."""
-        key = canonical(t)
-        coeffs = trace_expansion(self.rank, self.reduction)[key]
-        out = np.zeros(len(self.independent))
-        for comp, c in coeffs.items():
-            out[self.independent.index(comp)] = float(c)
-        return out
-
-
-def expansion_matrix(n: int, reduction: str = FULL3D) -> ComponentBasis:
-    """Build the full 3^n-row expansion matrix for rank n."""
-    indep = tuple(independent_components(n, reduction))
     expand = trace_expansion(n, reduction)
-    tuples = tuple(full_tuples(n))
-    col = {comp: j for j, comp in enumerate(indep)}
-    mat = np.zeros((len(tuples), len(indep)))
-    for i, t in enumerate(tuples):
-        for comp, c in expand[canonical(t)].items():
-            mat[i, col[comp]] = float(c)
-    return ComponentBasis(rank=n, reduction=reduction, independent=indep,
-                          tuples=tuples, matrix=mat)
+    indep = independent_components(n, reduction)
+    kept = tuple(m for m in multisets(n)
+                 if reduction == FULL3D or m.count("z") % 2 == 0)
+    E = np.array([[float(expand[m].get(c, 0)) for c in indep] for m in kept])
+    w = np.array([float(multiplicity(m)) for m in kept])
+    E.flags.writeable = w.flags.writeable = False
+    return kept, E, w

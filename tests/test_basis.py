@@ -4,79 +4,84 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval3d
 from scipy import integrate
 
-from momentbc.basis import (Polynomial3, _full_moment, _gram, _half_moment,
+from momentbc.basis import (_full_moment, _gram, _half_moment,
                             basis_polynomial, build_basis_set,
-                            harmonic_tensor, inner_full, inner_half,
-                            laguerre_coefficients, verify_orthogonality)
+                            harmonic_tensor, laguerre_coefficients,
+                            verify_orthogonality)
 from momentbc.system import assemble_flux, grad_theory
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def mono(i, j, k, c=1.0):
-    return Polynomial3.monomial((i, j, k), c)
+    """Coefficient array of c xi_x^i xi_y^j xi_z^k."""
+    out = np.zeros((i + 1, j + 1, k + 1))
+    out[i, j, k] = c
+    return out
+
+
+ONE = mono(0, 0, 0)
+
+
+def terms(c):
+    """Nonzero coefficients of an array as {(i, j, k): value}."""
+    return {tuple(int(v) for v in e): c[tuple(e)] for e in np.argwhere(c)}
+
+
+def degree(c):
+    return max(sum(e) for e in terms(c))
+
+
+def inner(p, q, half=None):
+    """Gaussian inner product, over the half space xi_half > 0 if given."""
+    return float(_gram(p[None], q[None], half=half)[0, 0])
+
+
+def reflected(c, axis):
+    """Coefficients of the image under xi_axis -> -xi_axis."""
+    a = "xyz".index(axis)
+    signs = (-1.0) ** np.arange(c.shape[a])
+    return c * signs.reshape([-1 if b == a else 1 for b in range(3)])
 
 
 def gauss_pdf(x):
     return math.exp(-0.5 * x * x) / SQRT_2PI
 
 
-def test_polynomial_arithmetic_and_eval():
-    p = Polynomial3.axis("x") + Polynomial3.axis("y")
-    q = p * p
-    assert q.coefficient((2, 0, 0)) == 1.0
-    assert q.coefficient((1, 1, 0)) == 2.0
-    assert q.degree == 2
-    assert q(1.0, 2.0, -3.0) == 9.0
-
-
-def test_polynomial_drops_zero_terms():
-    p = Polynomial3.axis("x") - Polynomial3.axis("x")
-    assert p.terms == {}
-    assert (0.0 * Polynomial3.constant(5.0)).terms == {}
-
-
-def test_polynomial_reflection():
-    p = mono(3, 2, 0) + mono(0, 1, 0)
-    r = p.reflected("x")
-    assert r.coefficient((3, 2, 0)) == -1.0
-    assert r.coefficient((0, 1, 0)) == 1.0
-
-
 def test_full_moments_frozen():
     # unit Gaussian: mu2 = 1, mu4 = 3, mu6 = 15, odd moments vanish
-    assert inner_full(Polynomial3.constant(), Polynomial3.constant()) == 1.0
-    assert inner_full(mono(1, 0, 0), mono(1, 0, 0)) == 1.0
-    assert inner_full(mono(2, 0, 0), mono(2, 0, 0)) == 3.0
-    assert inner_full(mono(3, 0, 0), mono(3, 0, 0)) == 15.0
-    assert inner_full(mono(1, 0, 0), Polynomial3.constant()) == 0.0
-    assert inner_full(mono(1, 1, 0), mono(1, 1, 0)) == 1.0
+    assert inner(ONE, ONE) == 1.0
+    assert inner(mono(1, 0, 0), mono(1, 0, 0)) == 1.0
+    assert inner(mono(2, 0, 0), mono(2, 0, 0)) == 3.0
+    assert inner(mono(3, 0, 0), mono(3, 0, 0)) == 15.0
+    assert inner(mono(1, 0, 0), ONE) == 0.0
+    assert inner(mono(1, 1, 0), mono(1, 1, 0)) == 1.0
 
 
 def test_full_moments_match_quadrature():
     for k in range(9):
-        val = inner_full(mono(k, 0, 0), Polynomial3.constant())
+        val = inner(mono(k, 0, 0), ONE)
         ref, _ = integrate.quad(lambda x: x ** k * gauss_pdf(x),
                                 -np.inf, np.inf)
         assert abs(val - ref) < 1e-9 * max(1.0, abs(ref))
 
 
 def test_half_moments_frozen():
-    one = Polynomial3.constant()
-    assert inner_half(one, one, "x") == 0.5
-    assert np.isclose(inner_half(mono(1, 0, 0), one, "x"), 1.0 / SQRT_2PI)
-    assert inner_half(mono(2, 0, 0), one, "x") == 0.5
-    assert np.isclose(inner_half(mono(3, 0, 0), one, "x"), 2.0 / SQRT_2PI)
+    assert inner(ONE, ONE, "x") == 0.5
+    assert np.isclose(inner(mono(1, 0, 0), ONE, "x"), 1.0 / SQRT_2PI)
+    assert inner(mono(2, 0, 0), ONE, "x") == 0.5
+    assert np.isclose(inner(mono(3, 0, 0), ONE, "x"), 2.0 / SQRT_2PI)
     # tangential axes keep full moments
-    assert inner_half(mono(0, 2, 0), one, "x") == 0.5
-    assert inner_half(mono(0, 1, 0), one, "x") == 0.0
+    assert inner(mono(0, 2, 0), ONE, "x") == 0.5
+    assert inner(mono(0, 1, 0), ONE, "x") == 0.0
 
 
 def test_half_moments_match_quadrature():
     for k in range(8):
-        val = inner_half(mono(k, 0, 0), Polynomial3.constant(), "x")
+        val = inner(mono(k, 0, 0), ONE, "x")
         ref, _ = integrate.quad(lambda x: x ** k * gauss_pdf(x), 0.0, np.inf)
         assert abs(val - ref) < 1e-9 * max(1.0, abs(ref))
 
@@ -84,23 +89,27 @@ def test_half_moments_match_quadrature():
 def test_half_plus_reflected_half_is_full():
     rng = np.random.default_rng(42)
     exps = [(i, j, k) for i in range(4) for j in range(4) for k in range(3)]
+
+    def random_poly():
+        c = np.zeros((4, 4, 3))
+        for i in rng.choice(len(exps), size=4, replace=False):
+            c[exps[i]] = rng.standard_normal()
+        return c
+
     for axis in ("x", "y", "z"):
         for _ in range(10):
-            pick = rng.choice(len(exps), size=4, replace=False)
-            p = Polynomial3({exps[i]: rng.standard_normal() for i in pick})
-            pick = rng.choice(len(exps), size=4, replace=False)
-            q = Polynomial3({exps[i]: rng.standard_normal() for i in pick})
-            lhs = inner_half(p, q, axis) + inner_half(
-                p.reflected(axis), q.reflected(axis), axis)
-            rhs = inner_full(p, q)
+            p = random_poly()
+            q = random_poly()
+            lhs = inner(p, q, axis) + inner(reflected(p, axis), reflected(q, axis), axis)
+            rhs = inner(p, q)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
 def loop_inner(p, q, half=None):
     """Oracle: one Gaussian moment per pair of monomials, summed in a loop."""
     total = 0.0
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in terms(p).items():
+        for e2, c2 in terms(q).items():
             factor = 1.0
             for name, i, j in zip("xyz", e1, e2):
                 moment = _half_moment if name == half else _full_moment
@@ -109,13 +118,21 @@ def loop_inner(p, q, half=None):
     return total
 
 
+def times_axis(q, axis):
+    """Coefficients of xi_axis * q (q itself when axis is None)."""
+    if axis is None:
+        return q
+    return np.pad(q, [(1, 0) if name == axis else (0, 0) for name in "xyz"])
+
+
 def random_polynomials(rng, count, degree=6):
     exps = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1 - i)
             for k in range(degree + 1 - i - j)]
-    out = [Polynomial3()]
-    for _ in range(count - 1):
+    out = np.zeros((count,) + (degree + 1,) * 3)
+    for c in out[1:]:
         pick = rng.choice(len(exps), size=rng.integers(1, 9), replace=False)
-        out.append(Polynomial3({exps[i]: rng.standard_normal() for i in pick}))
+        for i in pick:
+            c[exps[i]] = rng.standard_normal()
     return out
 
 
@@ -125,8 +142,7 @@ def test_gram_matches_loop_oracle(axis, half):
     rng = np.random.default_rng(7)
     ps = random_polynomials(rng, 12)
     qs = random_polynomials(rng, 9)
-    xi = Polynomial3.axis(axis) if axis else Polynomial3.constant()
-    ref = np.array([[loop_inner(p, xi * q, half) for q in qs] for p in ps])
+    ref = np.array([[loop_inner(p, times_axis(q, axis), half) for q in qs] for p in ps])
     G = _gram(ps, qs, axis=axis, half=half)
     assert G.shape == (12, 9)
     assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
@@ -162,34 +178,34 @@ def test_radial_family_orthonormal():
     polys = [basis_polynomial(0, s, ()) for s in range(4)]
     for a, pa in enumerate(polys):
         for b, pb in enumerate(polys):
-            val = inner_full(pa, pb)
+            val = inner(pa, pb)
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-12
 
 
 def test_harmonic_tensor_values():
-    assert harmonic_tensor(()).terms == {(0, 0, 0): 1.0}
-    assert harmonic_tensor(("x",)).terms == {(1, 0, 0): 1.0}
+    assert terms(harmonic_tensor(())) == {(0, 0, 0): 1.0}
+    assert terms(harmonic_tensor(("x",))) == {(1, 0, 0): 1.0}
     xx = harmonic_tensor(("x", "x"))
-    assert np.isclose(xx.coefficient((2, 0, 0)), 2.0 / 3.0)
-    assert np.isclose(xx.coefficient((0, 2, 0)), -1.0 / 3.0)
-    assert np.isclose(xx.coefficient((0, 0, 2)), -1.0 / 3.0)
-    assert harmonic_tensor(("x", "y")).terms == {(1, 1, 0): 1.0}
+    assert np.isclose(xx[2, 0, 0], 2.0 / 3.0)
+    assert np.isclose(xx[0, 2, 0], -1.0 / 3.0)
+    assert np.isclose(xx[0, 0, 2], -1.0 / 3.0)
+    assert terms(harmonic_tensor(("x", "y"))) == {(1, 1, 0): 1.0}
 
 
 def test_harmonic_tensor_trace_free():
     trace = (harmonic_tensor(("x", "x")) + harmonic_tensor(("y", "y"))
              + harmonic_tensor(("z", "z")))
-    assert trace.terms == {}
+    assert terms(trace) == {}
 
 
-def laplacian(p):
-    out = {}
-    for (i, j, k), c in p.terms.items():
+def laplacian(c):
+    out = np.zeros_like(c)
+    for (i, j, k), v in terms(c).items():
         for d, e in (((i - 2, j, k), i * (i - 1)), ((i, j - 2, k), j * (j - 1)),
                      ((i, j, k - 2), k * (k - 1))):
             if e:
-                out[d] = out.get(d, 0.0) + c * e
-    return Polynomial3(out)
+                out[d] += v * e
+    return out
 
 
 def test_harmonic_tensor_is_harmonic():
@@ -197,13 +213,13 @@ def test_harmonic_tensor_is_harmonic():
     for comp in (("x",), ("x", "y"), ("x", "x", "z"), ("x", "y", "y", "z"),
                  ("y", "y", "y", "y", "x")):
         res = laplacian(harmonic_tensor(comp))
-        worst = max((abs(c) for c in res.terms.values()), default=0.0)
+        worst = np.abs(res).max()
         assert worst < 1e-12, comp
 
 
 def test_basis_polynomial_degree_and_validation():
-    assert basis_polynomial(2, 1, ("x", "y")).degree == 4
-    assert basis_polynomial(0, 0, ()).terms == {(0, 0, 0): 1.0}
+    assert degree(basis_polynomial(2, 1, ("x", "y"))) == 4
+    assert terms(basis_polynomial(0, 0, ())) == {(0, 0, 0): 1.0}
     with pytest.raises(ValueError):
         basis_polynomial(2, 0, ("x",))
 
@@ -213,19 +229,19 @@ def test_rank2_gram_frozen():
     xx = basis_polynomial(2, 0, ("x", "x"))
     yy = basis_polynomial(2, 0, ("y", "y"))
     xy = basis_polynomial(2, 0, ("x", "y"))
-    assert np.isclose(inner_full(xx, xx), 2.0 / 3.0)
-    assert np.isclose(inner_full(xx, yy), -1.0 / 3.0)
-    assert np.isclose(inner_full(xy, xy), 0.5)
-    assert inner_full(xx, xy) == 0.0
+    assert np.isclose(inner(xx, xx), 2.0 / 3.0)
+    assert np.isclose(inner(xx, yy), -1.0 / 3.0)
+    assert np.isclose(inner(xy, xy), 0.5)
+    assert inner(xx, xy) == 0.0
 
 
 def test_unit_vector_and_temperature_moments():
     x1 = basis_polynomial(1, 0, ("x",))
     s1 = basis_polynomial(0, 1, ())
-    assert np.isclose(inner_full(x1, x1), 1.0)
-    assert np.isclose(inner_full(s1, s1), 1.0)
+    assert np.isclose(inner(x1, x1), 1.0)
+    assert np.isclose(inner(s1, s1), 1.0)
     # cross parity pairs integrate to zero
-    assert inner_full(x1, s1) == 0.0
+    assert inner(x1, s1) == 0.0
 
 
 def test_basis_set_ordering_g20():
@@ -260,12 +276,11 @@ def test_parity_signs_split():
 def test_declared_parity_matches_numeric_sign_flip():
     bs = build_basis_set(grad_theory(3, "planar"), "x")
     rng = np.random.default_rng(3)
-    pts = rng.standard_normal((20, 3))
-    for bf in bs.entries:
-        vals = bf.poly(pts[:, 0], pts[:, 1], pts[:, 2])
-        flipped = bf.poly(-pts[:, 0], pts[:, 1], pts[:, 2])
-        sign = -1.0 if bf.parity_x == "odd" else 1.0
-        np.testing.assert_allclose(flipped, sign * vals, atol=1e-12)
+    x, y, z = rng.standard_normal((3, 20))
+    for c, sx, sy in zip(bs.polys, bs.parity_signs("x"), bs.parity_signs("y")):
+        vals = polyval3d(x, y, z, c)
+        np.testing.assert_allclose(polyval3d(-x, y, z, c), sx * vals, atol=1e-12)
+        np.testing.assert_allclose(polyval3d(x, -y, z, c), sy * vals, atol=1e-12)
 
 
 @pytest.mark.parametrize("degree,reduction", [
@@ -283,18 +298,16 @@ def test_macroscopic_moments_of_reconstruction():
     bs = build_basis_set(grad_theory(3, "planar"), "x")
     rng = np.random.default_rng(11)
     alpha = rng.standard_normal(bs.size)
-    f = Polynomial3.constant(0.0)
-    for b in range(bs.size):
-        f = f + alpha[b] * bs.expanded[b]
-    assert np.isclose(inner_full(Polynomial3.constant(), f),
-                      alpha[bs.index_of(0, 0, ())], atol=1e-12)
-    assert np.isclose(inner_full(mono(1, 0, 0), f),
+    f = np.tensordot(alpha, bs.expanded, axes=1)
+    assert np.isclose(inner(ONE, f), alpha[bs.index_of(0, 0, ())], atol=1e-12)
+    assert np.isclose(inner(mono(1, 0, 0), f),
                       alpha[bs.index_of(1, 0, ("x",))], atol=1e-12)
-    assert np.isclose(inner_full(mono(0, 1, 0), f),
+    assert np.isclose(inner(mono(0, 1, 0), f),
                       alpha[bs.index_of(1, 0, ("y",))], atol=1e-12)
     # temperature reading: third of the centered energy moment
-    energy = (mono(2, 0, 0) + mono(0, 2, 0) + mono(0, 0, 2)
-              - Polynomial3.constant(3.0)) * (1.0 / 3.0)
-    theta = inner_full(energy, f)
+    energy = np.zeros((3, 3, 3))
+    energy[2, 0, 0] = energy[0, 2, 0] = energy[0, 0, 2] = 1.0 / 3.0
+    energy[0, 0, 0] = -1.0
+    theta = inner(energy, f)
     assert np.isclose(theta, -math.sqrt(2.0 / 3.0) * alpha[bs.index_of(0, 1, ())],
                       atol=1e-12)

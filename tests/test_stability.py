@@ -1,4 +1,6 @@
 """Energy admissibility checks: kernel condition plus reflection form."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ def test_verdict_invariant_under_row_scaling(g20x):
     assert r1.verdict == r2.verdict
     assert r1.kernel_residual == pytest.approx(r2.kernel_residual, abs=1e-15)
     assert r1.min_schur_eig == pytest.approx(r2.min_schur_eig, abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+def test_kernel_residual_independent_of_zero_space_basis(degree):
+    # eigh returns an arbitrary basis of the degenerate zero eigenspace; the
+    # residual must not depend on it
+    dec = decomposition(degree)
+    rng = np.random.default_rng(degree)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dec.n_zero, dec.n_zero)))
+    rotated = dataclasses.replace(dec, X_zero=dec.X_zero @ rotation)
+    B = make_boundary_operator(cached_system(degree), "mbc", 1.0, +1).B
+    r1 = check_stability(dec, B).kernel_residual
+    r2 = check_stability(rotated, B).kernel_residual
+    assert r1 > 0.1
+    assert r2 == pytest.approx(r1, rel=1e-12)
 
 
 def test_schur_matrix_is_symmetric(g20x):

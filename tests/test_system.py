@@ -80,7 +80,7 @@ def test_theory_from_name_roundtrip():
 
 def test_symmetrizer_matches_golden_13(g20x):
     assert g20x.basis.names() == GOLDEN_ORDER13
-    assert np.abs(g20x.S - GOLDEN_S13).max() < 1e-12
+    assert np.array_equal(g20x.S, GOLDEN_S13)
 
 
 def test_symmetrizer_blocks_by_index(g20x):

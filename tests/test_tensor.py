@@ -1,5 +1,6 @@
 """Trace-free symmetric tensor combinatorics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -66,8 +67,10 @@ def test_rank3_planar_selection():
 
 def test_rank0_is_trivial():
     assert tensor.independent_components(0, "full3d") == [()]
-    cb = tensor.expansion_matrix(0, "full3d")
-    assert cb.matrix.tolist() == [[1.0]]
+    kept, E, w = tensor._expansion(0, "full3d")
+    assert kept == ((),)
+    assert E.tolist() == [[1.0]]
+    assert w.tolist() == [1.0]
 
 
 def test_negative_rank_rejected():
@@ -105,50 +108,66 @@ def test_full3d_keeps_single_z():
                                     ("y", "y", "z"): Fraction(-1)}
 
 
+def multiset_rows(n, reduction):
+    """Rows of E for every rank-n multiset; those the expansion drops are zero."""
+    kept, E, _ = tensor._expansion(n, reduction)
+    rows = dict(zip(kept, E))
+    return {m: rows.get(m, np.zeros(E.shape[1])) for m in tensor.multisets(n)}
+
+
 def test_expansion_identity_on_representatives():
     # the independent multisets are their own coordinates
     for n in range(6):
         for red in tensor.REDUCTIONS:
-            cb = tensor.expansion_matrix(n, red)
-            rows = [cb.tuples.index(t) for t in cb.independent]
-            np.testing.assert_array_equal(cb.matrix[rows, :],
-                                          np.eye(len(cb.independent)))
+            kept, E, _ = tensor._expansion(n, red)
+            indep = tensor.independent_components(n, red)
+            rows = [kept.index(t) for t in indep]
+            np.testing.assert_array_equal(E[rows, :], np.eye(len(indep)))
 
 
-def test_expansion_constant_on_permutations():
-    cb = tensor.expansion_matrix(3, "full3d")
-    i = cb.tuples.index(("x", "z", "y"))
-    j = cb.tuples.index(("z", "y", "x"))
-    np.testing.assert_array_equal(cb.matrix[i], cb.matrix[j])
+def test_expansion_matches_trace_expansion():
+    for n in range(6):
+        for red in tensor.REDUCTIONS:
+            kept, E, w = tensor._expansion(n, red)
+            expand = tensor.trace_expansion(n, red)
+            indep = tensor.independent_components(n, red)
+            for m, row, wm in zip(kept, E, w):
+                assert wm == tensor.multiplicity(m)
+                assert {c: v for c, v in zip(indep, row) if v} == expand[m]
+
+
+def test_weighted_gram_sums_over_ordered_tuples():
+    # E^T diag(w) E is the Gram matrix of the expansion over all 3^n tuples
+    for n in range(5):
+        for red in tensor.REDUCTIONS:
+            _, E, w = tensor._expansion(n, red)
+            rows = multiset_rows(n, red)
+            full = np.array([rows[tensor.canonical(t)]
+                             for t in itertools.product(tensor.AXES, repeat=n)])
+            np.testing.assert_array_equal((E.T * w) @ E, full.T @ full)
 
 
 def test_trace_contractions_vanish():
     # contracting any pair of indices must produce the zero tensor
     for n in range(2, 8):
         for red in tensor.REDUCTIONS:
-            cb = tensor.expansion_matrix(n, red)
-            pos = {t: i for i, t in enumerate(cb.tuples)}
+            rows = multiset_rows(n, red)
             for m in tensor.multisets(n - 2):
-                acc = np.zeros(cb.matrix.shape[1])
-                for a in tensor.AXES:
-                    acc += cb.matrix[pos[tensor.canonical(m + (a, a))]]
+                acc = sum(rows[tensor.canonical(m + (a, a))] for a in tensor.AXES)
                 assert np.abs(acc).max() < 1e-12, (n, red, m)
 
 
 def test_planar_odd_z_rows_are_zero():
     for n in (1, 2, 3, 4):
-        cb = tensor.expansion_matrix(n, "planar")
-        for i, t in enumerate(cb.tuples):
+        kept, _, _ = tensor._expansion(n, "planar")
+        expand = tensor.trace_expansion(n, "planar")
+        for t in tensor.multisets(n):
             if t.count("z") % 2:
-                assert not cb.matrix[i].any()
-
-
-def test_row_accessor_matches_matrix():
-    cb = tensor.expansion_matrix(2, "full3d")
-    np.testing.assert_array_equal(
-        cb.row(("z", "z")), cb.matrix[cb.tuples.index(("z", "z"))])
-    # unsorted input is accepted
-    np.testing.assert_array_equal(cb.row(("y", "x")), cb.row(("x", "y")))
+                assert t not in kept
+                assert expand[t] == {}
+            else:
+                assert t in kept
+        assert set(tensor._expansion(n, "full3d")[0]) == set(tensor.multisets(n))
 
 
 def test_parity_follows_axis_count():
