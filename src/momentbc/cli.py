@@ -292,7 +292,8 @@ def _combined_stability(sys_, dec, chi) -> dict:
 
 def cmd_check_stability(cfg: RunConfig) -> int:
     theory = resolve_theory(cfg)
-    sys_ = assemble_system(theory, normal_axis=cfg.values.get("normal_axis") or "x")
+    axis = cfg.values.get("normal_axis") or "x"
+    sys_ = assemble_system(theory, normal_axis=axis, axes=(axis,))
     dec = characteristic_decomposition(sys_)
     scan = cfg.values.get("scan_chi")
     if scan:
@@ -465,16 +466,19 @@ def cmd_energy_march(cfg: RunConfig) -> int:
             for t, e in zip(res.times, res.energy):
                 writer.writerow([FLOAT_FMT % t, FLOAT_FMT % e])
     e0 = float(res.energy[0])
+    steps = int(res.times.size - 1)
     _emit(_report(cfg, {
         "theory": theory.name,
         "dt": res.dt,
-        "steps": int(res.times.size - 1),
+        "steps": steps,
         "energy_initial": e0,
         "energy_final": float(res.energy[-1]),
         "max_energy_growth": res.max_energy_growth,
         "relative_growth": res.max_energy_growth / e0 if e0 > 0 else 0.0,
         "blowup": res.blowup,
         "out": out,
+        "timings": {"march_s": res.march_s,
+                    "step_us": 1e6 * res.march_s / steps},
     }))
     return 0
 

@@ -10,6 +10,7 @@ symmetric and splits the wall-normal flux into odd/even blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -224,13 +225,16 @@ class CharacteristicDecomposition:
         lam = np.concatenate([self.lam_minus, np.zeros(self.n_zero), self.lam_plus])
         return float(np.sum(lam * W ** 2))
 
-    def split_fluxes(self, A: np.ndarray):
-        """Upwind splitting A = A+ + A- mapped back to moment space."""
-        up = self.S_half_inv @ self.X_plus @ np.diag(self.lam_plus) \
-            @ self.X_plus.T @ self.S_half
-        dn = self.S_half_inv @ self.X_minus @ np.diag(self.lam_minus) \
-            @ self.X_minus.T @ self.S_half
-        return up, dn
+    @cached_property
+    def split_fluxes(self):
+        """Upwind splitting A = A+ + A- of the normal flux, mapped back to
+        moment space; computed once, read-only."""
+        pair = []
+        for X, lam in ((self.X_plus, self.lam_plus), (self.X_minus, self.lam_minus)):
+            part = self.S_half_inv @ X @ np.diag(lam) @ X.T @ self.S_half
+            part.flags.writeable = False
+            pair.append(part)
+        return tuple(pair)
 
 
 # eigenvalues within _ZERO_TOL of the largest speed (or of 1) are standing modes

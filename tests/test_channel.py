@@ -6,6 +6,7 @@ import scipy.integrate
 from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (SOURCE_AMPLITUDE, WALL_TEMP_COEFF, ChannelConfig,
+                              _apply_wall_state, _block_toeplitz_apply,
                               _march_operator, _steady_operator,
                               extract_fields, reference_solution,
                               solve_steady, source_vector, time_march_energy)
@@ -208,6 +209,81 @@ def test_march_detects_unstable_step():
     assert res.blowup
     # trace stops early once the energy bound trips
     assert res.times[-1] < 1.0
+
+
+def _march_setup(cfg, sys_):
+    bc_upper = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=+1)
+    bc_lower = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=-1)
+    dec = characteristic_decomposition(sys_)
+    M, b = _march_operator(cfg, sys_, bc_upper, bc_lower, dec)
+    return M, b, bc_upper, bc_lower, dec
+
+
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("n_grid", [16, 40])
+def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
+    # at N = 16 the four edge block rows sit closest to each other
+    sys_ = cached_system(degree, normal="y", axes=("y",))
+    cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
+    M = _march_setup(cfg, sys_)[0]
+    apply = _block_toeplitz_apply(M, n_grid, sys_.size)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u = rng.standard_normal(n_grid * sys_.size)
+        out = np.full_like(u, np.nan)
+        assert apply(u, out) is out
+        ref = M @ u
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_block_toeplitz_apply_rejects_uneven_interior():
+    sys_ = cached_system(3, normal="y", axes=("y",))
+    cfg = make_config(n_grid=16)
+    M = _march_setup(cfg, sys_)[0]
+    m = sys_.size
+    M.data[M.indptr[9 * m + 1]] *= 1.0 + 1e-15
+    with pytest.raises(AssertionError):
+        _block_toeplitz_apply(M, cfg.n_grid, m)
+
+
+def _csr_march(M, b, u, dt, steps, S, h):
+    """Plain SSP-RK3 march with CSR products: the oracle for the
+    block-Toeplitz march."""
+    N = u.size // S.shape[0]
+    energies = []
+    for k in range(steps + 1):
+        if k:
+            u1 = u + dt * (M @ u + b)
+            u2 = 0.75 * u + 0.25 * (u1 + dt * (M @ u1 + b))
+            u = u / 3.0 + (2.0 / 3.0) * (u2 + dt * (M @ u2 + b))
+        a = u.reshape(N, -1)
+        energies.append(h * np.einsum("ij,jk,ik->", a, S, a))
+    return np.array(energies), u.reshape(N, -1)
+
+
+@pytest.mark.parametrize("bc_kind, driven, init", [("mbc", True, "zero"),
+                                                   ("obc", False, "random")])
+def test_march_matches_csr_oracle(bc_kind, driven, init):
+    sys_ = cached_system(3, normal="y", axes=("y",))
+    kw = {} if driven else {"wall_temp": 0.0, "source_amplitude": 0.0}
+    cfg = make_config(n_grid=48, bc_kind=bc_kind, **kw)
+    M, b, bc_upper, bc_lower, dec = _march_setup(cfg, sys_)
+    assert (np.abs(b).max() > 0) == driven
+    N, m = cfg.n_grid, sys_.size
+    h = cfg.grid()[1] - cfg.grid()[0]
+    steps = 50
+    t_final = (steps - 0.5) * 0.4 * h / dec.max_speed
+    res = time_march_energy(cfg, t_final=t_final, cfl=0.4, init=init, seed=4,
+                            sys=sys_)
+    assert res.times.size == steps + 1 and not res.blowup
+    alpha0 = (np.zeros((N, m)) if init == "zero"
+              else np.random.default_rng(4).standard_normal((N, m)))
+    alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_data(), sys_.n_o)
+    energies, alpha = _csr_march(M, b, alpha0.ravel(), res.dt, steps, sys_.S, h)
+    assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
+    assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+    assert res.march_s > 0.0
 
 
 def test_march_accepts_array_init():

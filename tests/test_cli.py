@@ -231,6 +231,8 @@ def test_energy_march_trace(capsys, tmp_path):
     assert rep["relative_growth"] <= 1e-6
     assert rep["energy_final"] < rep["energy_initial"]
     assert rep["config"]["homogeneous"] is True
+    for key in ("march_s", "step_us"):
+        assert np.isfinite(rep["timings"][key]) and rep["timings"][key] > 0.0
     header, data = load_csv(trace)
     assert header == ["t", "energy"]
     assert data[0, 0] == 0.0

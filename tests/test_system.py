@@ -220,7 +220,9 @@ def test_characteristic_basis_reconstructs_flux(g20x):
 
 def test_split_fluxes_sum_to_flux(g20x):
     dec = characteristic_decomposition(g20x)
-    up, dn = dec.split_fluxes(g20x.A_normal)
+    up, dn = dec.split_fluxes
+    # built once per decomposition and shared read-only
+    assert dec.split_fluxes[0] is up and not up.flags.writeable
     assert np.abs(up + dn - g20x.A_normal).max() < 1e-10
     # each part is definite in the entropy scalar product
     Sup = g20x.S @ up
