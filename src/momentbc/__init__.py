@@ -15,9 +15,9 @@ from .basis import (BasisFunction, BasisSet, build_basis_set, harmonic_tensor,
 from .system import (CharacteristicDecomposition, MomentSystem, MomentTheory,
                      assemble_flux, assemble_symmetrizer, assemble_system,
                      bgk_projector, characteristic_decomposition, grad_theory,
-                     parity_reflection, theory_from_name, verify_full_symmetry)
+                     theory_from_name, verify_full_symmetry)
 from .boundary import (BoundaryOperator, WallData, assemble_mbc, assemble_obc,
                        make_boundary_operator, wall_inhomogeneity)
-from .stability import StabilityReport, check_stability, quadratic_form_H
+from .stability import StabilityReport, check_stability
 from .channel import (ChannelConfig, ChannelSolution, reference_solution,
                       solve_steady, source_vector, time_march_energy)

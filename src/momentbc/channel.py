@@ -9,11 +9,13 @@ third-order stencils, boundary rows replacing the odd-moment equations at
 the walls and third-order one-sided even rows there; the time marcher
 integrates the same system with second-order upwind characteristic
 splitting and a three-stage strong stability preserving scheme.  Both
-operators are sums of Kronecker products of a node stencil with a moment
-block, and every stencil is a weight table.  The march operator is
-block-Toeplitz away from the walls, so the marcher applies it as one GEMM
-of a shared block row with a strided window of the state plus four wall
-block rows, rather than as a sparse product.
+operators are terms of a node stencil, given as a weight table, times an
+m x m moment block, and both are block-Toeplitz: nodes 2..N-3 share one
+block row, and only the rows of nodes 0, 1, N-2 and N-1 differ.  Those
+five block rows are summed straight from the tables.  The steady solve
+lays them out as a sparse matrix for the factorization; the marcher
+applies the shared row as one GEMM with a strided window of the state,
+plus the four wall-side rows.
 """
 
 from __future__ import annotations
@@ -145,54 +147,83 @@ _INTERIOR = ((slice(1, -1), 1, {0: 1}),)
 _WALLS = ((slice(0, 1), 1, {0: 1}), (slice(-1, None), 1, {0: 1}))
 
 
-def _stencil(n: int, table, h: float = 1.0) -> sp.csr_matrix:
-    """n x n node stencil from a weight table."""
-    rows, cols, vals = [], [], []
-    for nodes, den, taps in table:
-        nodes = np.arange(n)[nodes]
-        for offset, num in taps.items():
-            rows.append(nodes)
-            cols.append(nodes + offset)
-            vals.append(np.full(nodes.size, num / (den * h)))
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+def _operator_terms(cfg, sys, bc_upper, bc_lower, dec):
+    """(table, h, block) terms of the steady and of the march operator.
 
+    Steady, K alpha = F: d/dy goes through characteristic-biased third-order
+    stencils, central next to the walls; a pure central scheme leaves
+    sawtooth modes of the non-relaxing moments undetermined.  At a wall the
+    odd-moment rows are the boundary rows B alpha = rhs and the even-moment
+    rows use one-sided third-order differences.
 
-def _kron_sum(terms) -> sp.csr_matrix:
-    """CSR sum of kron(D, B) over terms of an N x N node stencil D and an
-    m x m moment block B; exact cancellations are not stored."""
-    total = None
-    for D, B in terms:
-        term = sp.kron(D, B).tocsr()
-        total = term if total is None else total + term
-    return total
-
-
-def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
-    """Collocation operator K alpha = F of the steady system, walls included.
-
-    d/dy goes through characteristic-biased third-order stencils, central
-    next to the walls; a pure central scheme leaves sawtooth modes of the
-    non-relaxing moments undetermined.  At a wall the odd-moment rows are
-    the boundary rows B alpha = rhs and the even-moment rows use one-sided
-    third-order differences.
+    March, d alpha/dt = M alpha + b: d/dy goes through second-order upwind
+    characteristic splitting, first order next to the walls.  The wall even
+    rows use one-sided second-order differences; the wall odd rows are
+    slaved to them through the gain.
     """
-    N, m, n_o = cfg.n_grid, sys.size, sys.n_o
+    m, n_o = sys.size, sys.n_o
     y = cfg.grid()
     h = y[1] - y[0]
     A = sys.A["y"]
     P = sys.P_bgk / cfg.kn
     A_up, A_dn = dec.split_fluxes
-    A_even = np.vstack([np.zeros((n_o, m)), A[n_o:]])
-    return _kron_sum([
-        (_stencil(N, _UPWIND3, h), A_up),
-        (_stencil(N, _DOWNWIND3, h), A_dn),
-        (_stencil(N, _INTERIOR), P),
-        (_stencil(N, _WALL3, h), A_even),
-        (_stencil(N, _WALLS[:1]), np.vstack([bc_lower.B, P[n_o:]])),
-        (_stencil(N, _WALLS[1:]), np.vstack([bc_upper.B, P[n_o:]])),
-    ])
+    steady = [(_UPWIND3, h, A_up),
+              (_DOWNWIND3, h, A_dn),
+              (_INTERIOR, 1.0, P),
+              (_WALL3, h, np.vstack([np.zeros((n_o, m)), A[n_o:]])),
+              (_WALLS[:1], 1.0, np.vstack([bc_lower.B, P[n_o:]])),
+              (_WALLS[1:], 1.0, np.vstack([bc_upper.B, P[n_o:]]))]
+    march = [(_UPWIND2, h, -A_up), (_DOWNWIND2, h, -A_dn), (_INTERIOR, 1.0, -P)]
+    for k, bc in enumerate((bc_lower, bc_upper)):
+        slave = np.vstack([bc.gain(), np.eye(m - n_o)])
+        march += [(_WALL2[k:k + 1], h, -slave @ A[n_o:]),
+                  (_WALLS[k:k + 1], 1.0, -slave @ P[n_o:])]
+    return steady, march
+
+
+def _window_start(node, N):
+    """First of the five column nodes that block row `node` spans."""
+    return np.clip(node - 2, 0, N - 5)
+
+
+def _block_rows(terms, m: int) -> np.ndarray:
+    """Block rows of sum_t table_t (x) B_t over (table, h, B) terms.
+
+    Every table treats nodes 2..N-3 alike, with stencils over node offsets
+    -2..+2, and keeps the rows of nodes 0, 1, N-2 and N-1 within the four
+    nodes nearest their wall.  So block row i has five m x m blocks, over
+    the column nodes from _window_start(i, N), and the rows of those four
+    nodes and one interior node fix the operator; on a 7-node grid they are
+    nodes 0, 1, 3, 5 and 6.  Returns them as a (5, 5, m, m) array, each
+    block summed num / (den * h) * B in term order.
+    """
+    rows = np.zeros((5, 5, m, m))
+    for table, h, B in terms:
+        for nodes, den, taps in table:
+            for r, node in enumerate((0, 1, 3, 5, 6)):
+                if node in range(7)[nodes]:
+                    start = _window_start(node, 7)
+                    for offset, num in taps.items():
+                        rows[r, node + offset - start] += num / (den * h) * B
+    return rows
+
+
+def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
+    """Steady operator K as CSR, laid out from its block rows.
+
+    Block row i holds five dense BSR blocks, nodes 2..N-3 repeating the
+    interior row; exact zeros, within a block or where terms cancel, are
+    not stored.
+    """
+    N, m = cfg.n_grid, sys.size
+    rows = _block_rows(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[0], m)
+    which = np.r_[0, 1, np.full(N - 4, 2), 3, 4]
+    start = _window_start(np.arange(N), N)
+    K = sp.bsr_matrix((rows[which].reshape(5 * N, m, m),
+                       (start[:, None] + np.arange(5)).ravel(),
+                       5 * np.arange(N + 1)), shape=(N * m, N * m)).tocsr()
+    K.eliminate_zeros()
+    return K
 
 
 def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
@@ -205,6 +236,8 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
     The density column only enters through its derivative, so the
     plain system is singular up to a uniform density shift; a
     zero-total-density gauge closes it through a bordered augmentation.
+    diagnostics["timings"] holds operator_s (operator and border) and
+    solve_s (the sparse solve).
     """
     if sys is None:
         sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
@@ -229,6 +262,7 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
     rhs[top:top + n_o] = bc_upper.rhs(wall)
 
     # zero-total-density gauge via a bordered system
+    start = time.perf_counter()
     rho_slots = np.arange(N) * m + bs.index_of(0, 0, ())
     gauge = sp.csr_matrix((np.ones(N), (np.zeros(N, dtype=int), rho_slots)),
                           shape=(1, size))
@@ -236,9 +270,11 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
                                    characteristic_decomposition(sys)),
                   gauge.T.tocsr()],
                  [gauge, sp.csr_matrix((1, 1))]], format="csr")
+    operator_s = time.perf_counter() - start
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
         x = spla.spsolve(K, rhs)
+    solve_s = time.perf_counter() - start - operator_s
     residual = float(np.abs((K @ x - rhs)[:size]).max())
     scale = max(float(np.abs(rhs).max()), 1e-30)
     if not np.all(np.isfinite(x)) or residual > 1e-8 * scale:
@@ -259,6 +295,7 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
     }
     if "q_y" in fields:
         diagnostics["flux_balance"] = float(fields["q_y"][-1] - fields["q_y"][0])
+    diagnostics["timings"] = {"operator_s": operator_s, "solve_s": solve_s}
     return ChannelSolution(config=cfg, y=y, alpha=alpha, fields=fields,
                            diagnostics=diagnostics)
 
@@ -307,63 +344,40 @@ class MarchResult:
 
 
 def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
-    """Semi-discrete operator d alpha/dt = M alpha + b with boundary
-    conditions built into the wall rows.
+    """March operator M and source b, in block-row form: (W, edges, b).
 
-    d/dy goes through second-order upwind characteristic splitting, first
-    order next to the walls.  The wall even rows use one-sided second-order
-    differences; the wall odd rows are slaved to them through the gain.
+    W is the (5m, m) transpose of the block row that nodes 2..N-3 share
+    over node offsets -2..+2.  edges holds (node, lo, hi, E) for nodes 0,
+    1, N-2 and N-1: E is the node's block row over column nodes lo..hi-1,
+    the span of its nonzero blocks.
     """
-    m = sys.size
-    n_o = sys.n_o
-    N = cfg.n_grid
-    y = cfg.grid()
-    h = y[1] - y[0]
-    A = sys.A["y"]
-    P = sys.P_bgk / cfg.kn
-    A_up, A_dn = dec.split_fluxes
+    m, n_o, N = sys.size, sys.n_o, cfg.n_grid
+    rows = _block_rows(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[1], m)
+    W = np.concatenate(rows[2], axis=1).T.copy()
+    edges = []
+    for r, node in zip((0, 1, 3, 4), (0, 1, N - 2, N - 1)):
+        used = np.flatnonzero(rows[r].any(axis=(1, 2)))
+        lo, hi = used[0], used[-1] + 1
+        start = _window_start(node, N)
+        edges.append((node, start + lo, start + hi,
+                      np.concatenate(rows[r, lo:hi], axis=1)))
 
-    terms = [(_stencil(N, _UPWIND2, h), -A_up),
-             (_stencil(N, _DOWNWIND2, h), -A_dn),
-             (_stencil(N, _INTERIOR), -P)]
-    for k, bc in enumerate((bc_lower, bc_upper)):
-        slave = np.vstack([bc.gain(), np.eye(m - n_o)])
-        terms += [(_stencil(N, _WALL2[k:k + 1], h), -slave @ A[n_o:]),
-                  (_stencil(N, _WALLS[k:k + 1]), -slave @ P[n_o:])]
-    M_op = _kron_sum(terms)
-
-    F = source_vector(sys.basis, cfg.source_amplitude, y)
+    F = source_vector(sys.basis, cfg.source_amplitude, cfg.grid())
     b = F.ravel().copy()
     for node, bc in ((0, bc_lower), (N - 1, bc_upper)):
         b[node * m:node * m + n_o] = bc.gain() @ F[node, n_o:]
-    return M_op, b
+    return W, edges, b
 
 
-def _block_toeplitz_apply(M_op: sp.csr_matrix, N: int, m: int):
-    """u -> M u from the block-Toeplitz form of the march operator.
+def _block_toeplitz_apply(W, edges, N: int):
+    """u -> M u from the block-row form of _march_operator.
 
-    Node rows 2..N-3 share one block row over node offsets -2..+2, kept
-    as a (5m, m) array W: those rows are one GEMM of W with the zero-copy
-    (N-4, 5m) window of the state whose row k holds nodes k..k+4.  The
-    rows of nodes 0, 1, N-2 and N-1 are dense blocks cut to their column
-    span.  Returns apply(u, out), which writes M u into out.
+    Node rows 2..N-3 are one GEMM of W with the zero-copy (N-4, 5m) window
+    of the state whose row k holds nodes k..k+4; each edge row is one dot
+    with the state over its column span.  Returns apply(u, out), which
+    writes M u into out.
     """
-    # rows 2..N-3 repeat node 2's block row shifted by one node each; the
-    # check reads the CSR arrays in place, as (N-4, nonzeros per node) views
-    ptr = M_op.indptr[2 * m:(N - 2) * m + 1]
-    nnz = M_op.indptr[3 * m] - ptr[0]
-    assert ptr[-1] - ptr[0] == (N - 4) * nnz
-    assert np.all(np.diff(ptr).reshape(N - 4, m) == np.diff(ptr[:m + 1]))
-    cols = M_op.indices[ptr[0]:ptr[-1]].reshape(N - 4, nnz)
-    vals = M_op.data[ptr[0]:ptr[-1]].reshape(N - 4, nnz)
-    assert cols[0].max() < 5 * m and np.all(np.diff(cols, axis=0) == m)
-    assert np.all(vals == vals[0])
-    W = M_op[2 * m:3 * m, :5 * m].toarray().T.copy()
-    edges = []
-    for node in (0, 1, N - 2, N - 1):
-        row = M_op[node * m:(node + 1) * m]
-        lo, hi = row.indices.min() // m, row.indices.max() // m + 1
-        edges.append((node, lo, hi, row[:, lo * m:hi * m].toarray()))
+    m = W.shape[1]
 
     def apply(u, out):
         window = np.ndarray((N - 4, 5 * m), buffer=u,
@@ -397,7 +411,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     odd moments are made consistent with the boundary relation before the
     march.  The energy is E(t) = dy * sum_nodes alpha^T S alpha, computed
     as one (N, m) x (m, m) product and a dot.  Each SSP-RK3 stage applies
-    the operator of _march_operator through _block_toeplitz_apply, in
+    the block rows of _march_operator through _block_toeplitz_apply, in
     buffers allocated once per march; march_s on the result is the wall
     time of the step loop.
     """
@@ -406,7 +420,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
     bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
     dec = characteristic_decomposition(sys)
-    M_op, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
+    W, edges, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
 
     m = sys.size
     N = cfg.n_grid
@@ -430,7 +444,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     dt = t_final / steps
 
     S = sys.S
-    apply_M = _block_toeplitz_apply(M_op, N, m)
+    apply_M = _block_toeplitz_apply(W, edges, N)
     u = alpha.ravel()
     u1, u2, tmp = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     aS = np.empty((N, m))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system import CharacteristicDecomposition, MomentSystem
+from .system import CharacteristicDecomposition
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,3 @@ def check_stability(dec: CharacteristicDecomposition, B: np.ndarray) -> Stabilit
                            kernel_residual=kernel_residual,
                            min_schur_eig=min_eig, schur=schur,
                            reflection_cond=cond, details=details)
-
-
-def quadratic_form_H(sys: MomentSystem, alpha, orientation: int = +1) -> float:
-    """Boundary quadratic form alpha^T S A^(n) alpha computed directly.
-
-    The characteristic-variable evaluation of the same quantity lives on
-    CharacteristicDecomposition.quadratic_form; the two must agree.
-    """
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    alpha = np.asarray(alpha, dtype=float)
-    A = sys.A_normal
-    if orientation < 0:
-        signs = sys.basis.parity_signs(sys.normal_axis)
-        A = (A * signs[None, :]) * signs[:, None]
-    return float(alpha @ (sys.S @ A) @ alpha)

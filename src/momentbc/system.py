@@ -161,11 +161,6 @@ class MomentSystem:
         return SA[: self.n_o, self.n_o:]
 
 
-def parity_reflection(bs: BasisSet, axis: str = None) -> np.ndarray:
-    """State-space reflection matrix (diagonal +-1) for one axis."""
-    return np.diag(bs.parity_signs(axis or bs.normal_axis))
-
-
 def assemble_system(theory: MomentTheory, normal_axis: str = "x",
                     axes=("x", "y", "z")) -> MomentSystem:
     """Build basis, flux matrices, symmetrizer and relaxation projector."""
@@ -215,15 +210,6 @@ class CharacteristicDecomposition:
     def max_speed(self) -> float:
         speeds = np.concatenate([np.abs(self.lam_minus), np.abs(self.lam_plus)])
         return float(speeds.max()) if speeds.size else 0.0
-
-    def characteristic_variables(self, alpha) -> np.ndarray:
-        return self.X.T @ (self.S_half @ np.asarray(alpha, dtype=float))
-
-    def quadratic_form(self, alpha) -> float:
-        """Boundary quadratic form via characteristic variables."""
-        W = self.characteristic_variables(alpha)
-        lam = np.concatenate([self.lam_minus, np.zeros(self.n_zero), self.lam_plus])
-        return float(np.sum(lam * W ** 2))
 
     @cached_property
     def split_fluxes(self):

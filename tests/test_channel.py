@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 
 from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (SOURCE_AMPLITUDE, WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
-                              _march_operator, _steady_operator,
+                              _march_operator, _operator_terms, _steady_operator,
                               extract_fields, reference_solution,
                               solve_steady, source_vector, time_march_energy)
 from momentbc.system import characteristic_decomposition, grad_theory
@@ -100,6 +101,49 @@ def test_steady_in_plane_moments_stay_zero(sol_g20):
     assert np.abs(sol_g20.alpha[:, odd_in_x]).max() < 1e-12
 
 
+def kron_oracle(terms, N):
+    """CSR sum of kron(stencil, block) over the (table, h, block) terms,
+    each stencil an N x N matrix spelled out from its weight table: the
+    Kronecker form of the channel operators."""
+    total = None
+    for table, h, B in terms:
+        rows, cols, vals = [], [], []
+        for nodes, den, taps in table:
+            nodes = np.arange(N)[nodes]
+            for offset, num in taps.items():
+                rows.append(nodes)
+                cols.append(nodes + offset)
+                vals.append(np.full(nodes.size, num / (den * h)))
+        D = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                  np.concatenate(cols))), shape=(N, N))
+        term = sp.kron(D, B).tocsr()
+        total = term if total is None else total + term
+    return total
+
+
+def _operator_setup(cfg, sys_):
+    bc_upper = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=+1)
+    bc_lower = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=-1)
+    return cfg, sys_, bc_upper, bc_lower, characteristic_decomposition(sys_)
+
+
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("n_grid", [16, 40])
+def test_steady_operator_matches_kron_oracle(bc_kind, degree, n_grid):
+    # bit for bit: same pattern, and every entry summed in the same term order
+    args = _operator_setup(make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind),
+                           cached_system(degree, normal="y", axes=("y",)))
+    K = _steady_operator(*args)
+    ref = kron_oracle(_operator_terms(*args)[0], n_grid)
+    K.sort_indices()
+    ref.sort_indices()
+    assert K.shape == ref.shape
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.array_equal(K.data, ref.data)
+
+
 @pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
 def test_operators_exact_on_polynomial_profiles(bc_kind):
     # every row of every weight table must reproduce A alpha' + P alpha on
@@ -108,12 +152,12 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
     sys_ = cached_system(4, normal="y", axes=("y",))
     cfg = make_config(degree=4, n_grid=40, bc_kind=bc_kind)
     N, m, n_o = cfg.n_grid, sys_.size, sys_.n_o
-    bc_upper = make_boundary_operator(sys_, bc_kind, cfg.chi, sign=+1)
-    bc_lower = make_boundary_operator(sys_, bc_kind, cfg.chi, sign=-1)
-    dec = characteristic_decomposition(sys_)
-    K = _steady_operator(cfg, sys_, bc_upper, bc_lower, dec)
-    M, _ = _march_operator(cfg, sys_, bc_upper, bc_lower, dec)
-    assert K.shape == M.shape == (N * m, N * m)
+    args = _operator_setup(cfg, sys_)
+    bc_upper, bc_lower = args[2:4]
+    K = _steady_operator(*args)
+    W, edges, _ = _march_operator(*args)
+    apply = _block_toeplitz_apply(W, edges, N)
+    assert K.shape == (N * m, N * m)
     y = cfg.grid()
     A = sys_.A["y"]
     P = sys_.P_bgk / cfg.kn
@@ -124,7 +168,7 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
         slope = b + curvature * 2.0 * np.outer(y, c)
         exact = slope @ A.T + alpha @ P.T
         steady = (K @ alpha.ravel()).reshape(N, m)
-        march = (M @ alpha.ravel()).reshape(N, m)
+        march = apply(alpha.ravel(), np.empty(N * m)).reshape(N, m)
         assert np.abs(steady[1:-1] - exact[1:-1]).max() < 1e-9
         assert np.abs(march[inner] + exact[inner]).max() < 1e-9
         for bc, node in ((bc_lower, 0), (bc_upper, N - 1)):
@@ -211,12 +255,10 @@ def test_march_detects_unstable_step():
     assert res.times[-1] < 1.0
 
 
-def _march_setup(cfg, sys_):
-    bc_upper = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=+1)
-    bc_lower = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=-1)
-    dec = characteristic_decomposition(sys_)
-    M, b = _march_operator(cfg, sys_, bc_upper, bc_lower, dec)
-    return M, b, bc_upper, bc_lower, dec
+def _march_oracle(cfg, sys_):
+    """Kronecker-form march operator M, with the operator arguments."""
+    args = _operator_setup(cfg, sys_)
+    return kron_oracle(_operator_terms(*args)[1], cfg.n_grid), args
 
 
 @pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
@@ -226,8 +268,9 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
     # at N = 16 the four edge block rows sit closest to each other
     sys_ = cached_system(degree, normal="y", axes=("y",))
     cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
-    M = _march_setup(cfg, sys_)[0]
-    apply = _block_toeplitz_apply(M, n_grid, sys_.size)
+    M, args = _march_oracle(cfg, sys_)
+    W, edges, _ = _march_operator(*args)
+    apply = _block_toeplitz_apply(W, edges, n_grid)
     rng = np.random.default_rng(11)
     for _ in range(3):
         u = rng.standard_normal(n_grid * sys_.size)
@@ -235,16 +278,6 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
         assert apply(u, out) is out
         ref = M @ u
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-def test_block_toeplitz_apply_rejects_uneven_interior():
-    sys_ = cached_system(3, normal="y", axes=("y",))
-    cfg = make_config(n_grid=16)
-    M = _march_setup(cfg, sys_)[0]
-    m = sys_.size
-    M.data[M.indptr[9 * m + 1]] *= 1.0 + 1e-15
-    with pytest.raises(AssertionError):
-        _block_toeplitz_apply(M, cfg.n_grid, m)
 
 
 def _csr_march(M, b, u, dt, steps, S, h):
@@ -268,7 +301,9 @@ def test_march_matches_csr_oracle(bc_kind, driven, init):
     sys_ = cached_system(3, normal="y", axes=("y",))
     kw = {} if driven else {"wall_temp": 0.0, "source_amplitude": 0.0}
     cfg = make_config(n_grid=48, bc_kind=bc_kind, **kw)
-    M, b, bc_upper, bc_lower, dec = _march_setup(cfg, sys_)
+    M, args = _march_oracle(cfg, sys_)
+    b = _march_operator(*args)[2]
+    bc_upper, bc_lower, dec = args[2:]
     assert (np.abs(b).max() > 0) == driven
     N, m = cfg.n_grid, sys_.size
     h = cfg.grid()[1] - cfg.grid()[0]

@@ -153,6 +153,9 @@ def test_solve_channel_csv(capsys, tmp_path):
     rep = run_json(capsys, "solve-channel", "--theory", "G20",
                    "--grid", "64", "--out", str(out))
     assert rep["diagnostics"]["max_v_y"] < 1e-6
+    for key in ("operator_s", "solve_s"):
+        t = rep["diagnostics"]["timings"][key]
+        assert np.isfinite(t) and t > 0.0
     header, data = load_csv(out)
     assert header[:6] == ["y", "rho", "v_y", "theta", "sigma_yy", "q_y"]
     assert len(header) == 6 + 13
@@ -178,6 +181,9 @@ def test_solve_channel_reference_fields_only(capsys, tmp_path):
     rep = run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "48",
                    "--reference", "G20,G35", "--out", str(ref))
     assert rep["diagnostics"]["theories"] == ["G20", "G35"]
+    for comp in rep["diagnostics"]["component_diagnostics"]:
+        assert all(np.isfinite(t) and t > 0.0 for t in comp["timings"].values())
+        assert sorted(comp["timings"]) == ["operator_s", "solve_s"]
     header, data = load_csv(ref)
     assert len(header) == 6
     ha, da = load_csv(a)
