@@ -60,7 +60,7 @@ class ChannelConfig:
     source_amplitude: float = SOURCE_AMPLITUDE
 
     def __post_init__(self):
-        if self.kn <= 0:
+        if not self.kn > 0:
             raise ValueError("Knudsen number must be positive")
         if self.n_grid < 16:
             raise ValueError("need at least 16 grid nodes")
@@ -226,8 +226,7 @@ def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
     return K
 
 
-def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
-                 bc_upper=None, bc_lower=None) -> ChannelSolution:
+def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution:
     """Steady channel solve on cfg.n_grid collocation nodes.
 
     Interior rows use characteristic-biased third-order stencils; at the
@@ -241,10 +240,8 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None,
     """
     if sys is None:
         sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
-    if bc_upper is None:
-        bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
-    if bc_lower is None:
-        bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
+    bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
+    bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
 
     m = sys.size
     n_o = sys.n_o
@@ -413,8 +410,11 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     as one (N, m) x (m, m) product and a dot.  Each SSP-RK3 stage applies
     the block rows of _march_operator through _block_toeplitz_apply, in
     buffers allocated once per march; march_s on the result is the wall
-    time of the step loop.
+    time of the step loop.  cfl and t_final must be finite and positive.
     """
+    if not (0 < cfl < math.inf and 0 < t_final < math.inf):
+        raise ValueError(f"cfl and t_final must be finite and positive "
+                         f"(got cfl={cfl}, t_final={t_final})")
     if sys is None:
         sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
     bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)

@@ -7,49 +7,47 @@ Subcommands
     compare          join two channel CSVs and emit error columns + plot script
     energy-march     explicit time march recording the entropy energy
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-verification failure.  Reports are JSON on stdout and embed the resolved
-configuration and library version.  Output paths resolve against
-MOMENTBC_OUTDIR when set.
+Every option is defined, defaulted and typed once, in build_parser, and
+each command reads the parsed namespace.  ``--config file.json`` names a
+JSON object whose keys are the subcommand's option names (grid, t_final,
+normal_axis, ...).  Each key is replayed as ``--key-with-dashes=value``
+(a bare flag for true, nothing for false) ahead of the command-line flags,
+so the command line wins and file values pass the same checks; a key the
+subcommand has no option for is a usage error.
+
+Exit codes: 0 success; 1 usage or configuration error, which includes an
+unknown option or config key, a missing --theory, a malformed --m or
+--scan-chi, an unknown theory, kn <= 0, grid < 16, chi outside (0, 1]
+and cfl or t_final not finite and positive; 2 numerical verification
+failure.  Reports are JSON on stdout and embed the library version and,
+as "config", the subcommand's resolved options: what ran.  Output paths
+resolve against MOMENTBC_OUTDIR when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .basis import verify_orthogonality
-from .boundary import make_boundary_operator
-from .channel import (ChannelConfig, SOURCE_AMPLITUDE, WALL_TEMP_COEFF,
-                      reference_solution, solve_steady, time_march_energy)
+from .boundary import accommodation_gain, make_boundary_operator
+from .channel import (ChannelConfig, reference_solution, solve_steady,
+                      time_march_energy)
 from .stability import check_stability
 from .system import (MomentTheory, assemble_system,
-                     characteristic_decomposition, grad_theory,
-                     theory_from_name, verify_full_symmetry)
+                     characteristic_decomposition, theory_from_name,
+                     verify_full_symmetry)
 from .tensor import FULL3D, PLANAR
 
 FLOAT_FMT = "%.17g"
-
-DEFAULTS = {
-    "reduction": PLANAR,
-    "normal_axis": "x",
-    "chi": 1.0,
-    "kn": 0.3,
-    "grid": 512,
-    "bc": None,
-    "t_final": 10.0,
-    "cfl": 0.4,
-    "init": "zero",
-    "seed": 0,
-    "homogeneous": False,
-}
 
 
 class UsageError(Exception):
@@ -65,101 +63,106 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
-class RunConfig:
-    """Resolved options of one invocation; file values lose to flags."""
-
-    subcommand: str
-    values: dict = field(default_factory=dict)
-
-
-def _merge(args: argparse.Namespace, file_values: dict) -> RunConfig:
-    values = dict(DEFAULTS)
-    values.update(file_values)
-    for key, val in vars(args).items():
-        if key in ("config",):
-            continue
-        if val is not None:
-            values[key] = val
-        else:
-            values.setdefault(key, None)
-    return RunConfig(subcommand=args.subcommand, values=values)
-
-
-def parse_config(argv, config_file: str = None) -> RunConfig:
-    """Parse argv (plus an optional JSON defaults file) into a RunConfig."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    file_values = {}
-    path = getattr(args, "config", None) or config_file
-    if path:
-        try:
-            with open(path) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}")
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
-    return _merge(args, file_values)
+def positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="momentbc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, theory=True):
-        p.add_argument("--config", help="JSON file with default option values")
+    def command(name, help, theory=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON file of option values (flags win)")
         if theory:
-            p.add_argument("--theory", required=False,
+            p.add_argument("--theory", required=True,
                            help="named theory (G20) or 'custom' with --m")
             p.add_argument("--m", help="comma list of radial counts per tensor rank")
-            p.add_argument("--reduction", choices=(PLANAR, FULL3D))
+            p.add_argument("--reduction", choices=(PLANAR, FULL3D), default=PLANAR)
+        return p
 
-    p = sub.add_parser("assemble", help="assemble and verify one moment system")
-    common(p)
-    p.add_argument("--normal-axis", dest="normal_axis", choices=("x", "y", "z"))
+    def normal_axis(p):
+        p.add_argument("--normal-axis", choices=("x", "y"), default="x")
+
+    def chi(p):
+        p.add_argument("--chi", type=float, default=1.0,
+                       help="accommodation coefficient in (0, 1]")
+
+    def channel(p):
+        p.add_argument("--bc", choices=("mbc", "obc"), default="obc")
+        p.add_argument("--kn", type=float, default=0.3)
+        chi(p)
+        p.add_argument("--grid", type=int, default=512, help="nodes, at least 16")
+
+    p = command("assemble", "assemble and verify one moment system")
+    normal_axis(p)
     p.add_argument("--dump", choices=("s-matrix", "a-x", "a-y", "a-z", "p-bgk"))
     p.add_argument("--out", help="CSV path for --dump (stdout when omitted)")
 
-    p = sub.add_parser("check-stability", help="boundary admissibility report")
-    common(p)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--bc", choices=("mbc", "obc"))
-    p.add_argument("--scan-chi", dest="scan_chi",
-                   help="a:b:n accommodation sweep (inclusive endpoints)")
+    p = command("check-stability", "boundary admissibility report")
+    normal_axis(p)
+    chi(p)
+    p.add_argument("--bc", choices=("mbc", "obc"), help="one kind (default both)")
+    p.add_argument("--scan-chi", help="a:b:n accommodation sweep (inclusive endpoints)")
 
-    p = sub.add_parser("solve-channel", help="steady heated-channel solve")
-    common(p)
-    p.add_argument("--bc", choices=("mbc", "obc"))
-    p.add_argument("--kn", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--grid", type=int)
+    p = command("solve-channel", "steady heated-channel solve")
+    channel(p)
     p.add_argument("--out", help="CSV path for the solution")
     p.add_argument("--reference",
                    help="comma list of theory names; writes their averaged fields")
 
-    p = sub.add_parser("compare", help="join two channel CSVs, emit error columns")
+    p = command("compare", "join two channel CSVs, emit error columns", theory=False)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--config", help="JSON file with default option values")
     p.add_argument("--out", help="joined CSV path")
     p.add_argument("--plot", help="gnuplot script path")
 
-    p = sub.add_parser("energy-march", help="explicit march with energy trace")
-    common(p)
-    p.add_argument("--bc", choices=("mbc", "obc"))
-    p.add_argument("--kn", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--init", choices=("zero", "random"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--homogeneous", action="store_true", default=None,
+    p = command("energy-march", "explicit march with energy trace")
+    channel(p)
+    p.add_argument("--t-final", type=positive_float, default=10.0)
+    p.add_argument("--cfl", type=positive_float, default=0.4)
+    p.add_argument("--init", choices=("zero", "random"), default="zero")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--homogeneous", action="store_true",
                    help="zero wall data and heating (pure decay test)")
     p.add_argument("--out", help="CSV path for the (t, energy) trace")
 
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed with its --config file's keys replayed as flags ahead of it."""
+    pre = _Parser(prog="momentbc", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    values = {}
+    if path:
+        try:
+            with open(path) as fh:
+                values = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file {path}: {exc}")
+        if not isinstance(values, dict):
+            raise UsageError("config file must hold a JSON object")
+    flags = []
+    for key, value in values.items():
+        if not isinstance(value, (str, int, float)):  # bool is an int
+            raise UsageError(f"config key {key!r} needs a string, number or boolean")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags.append(f"{flag}={value}")
+    args = build_parser().parse_args(argv[:1] + flags + argv[1:])
+    # a false key replays as nothing, so it must name a flag to be checked at all
+    for key, value in values.items():
+        if value is False and not isinstance(getattr(args, key, None), bool):
+            raise UsageError(f"config key {key!r} names no flag of {args.subcommand}")
+    return args
 
 
 def _outpath(path: str) -> str:
@@ -169,37 +172,42 @@ def _outpath(path: str) -> str:
     return os.path.join(base, path) if base else path
 
 
-def resolve_theory(cfg: RunConfig) -> MomentTheory:
-    name = cfg.values.get("theory")
-    if not name:
-        raise UsageError("--theory is required")
-    reduction = cfg.values.get("reduction") or PLANAR
-    if name.lower() == "custom":
-        raw = cfg.values.get("m")
-        if not raw:
-            raise UsageError("--theory custom requires --m rank counts")
-        try:
-            counts = tuple(int(tok) for tok in str(raw).split(","))
-        except ValueError:
-            raise UsageError(f"malformed --m list {raw!r}")
-        if not counts or min(counts) < 1:
-            raise UsageError("--m entries must be positive integers")
-        return MomentTheory(max_rank=len(counts) - 1, radial_counts=counts,
-                            reduction=reduction)
+@contextlib.contextmanager
+def _usage_errors():
+    """Report the library's input checks (ValueError) as usage errors."""
     try:
-        return theory_from_name(name, reduction)
+        yield
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    out = {"subcommand": cfg.subcommand}
-    out.update({k: v for k, v in sorted(cfg.values.items()) if v is not None})
-    return out
+def resolve_theory(args: argparse.Namespace) -> MomentTheory:
+    if args.theory.lower() != "custom":
+        with _usage_errors():
+            return theory_from_name(args.theory, args.reduction)
+    if not args.m:
+        raise UsageError("--theory custom requires --m rank counts")
+    try:
+        counts = tuple(int(tok) for tok in args.m.split(","))
+    except ValueError:
+        raise UsageError(f"malformed --m list {args.m!r}")
+    if not counts or min(counts) < 1:
+        raise UsageError("--m entries must be positive integers")
+    return MomentTheory(max_rank=len(counts) - 1, radial_counts=counts,
+                        reduction=args.reduction)
 
 
-def _report(cfg: RunConfig, payload: dict) -> dict:
-    return {"version": __version__, "config": _config_echo(cfg), **payload}
+def _channel_config(args: argparse.Namespace, **source) -> ChannelConfig:
+    """The channel options as a ChannelConfig; its range checks are usage errors."""
+    theory = resolve_theory(args)
+    with _usage_errors():
+        accommodation_gain(args.chi)
+        return ChannelConfig(theory=theory, kn=args.kn, chi=args.chi,
+                             bc_kind=args.bc, n_grid=args.grid, **source)
+
+
+def _report(args: argparse.Namespace, payload: dict) -> dict:
+    return {"version": __version__, "config": vars(args), **payload}
 
 
 def _emit(report: dict):
@@ -217,10 +225,9 @@ def _write_matrix(M: np.ndarray, out: str):
         sys.stdout.write(text)
 
 
-def cmd_assemble(cfg: RunConfig) -> int:
-    theory = resolve_theory(cfg)
-    axis = cfg.values.get("normal_axis") or "x"
-    sys_ = assemble_system(theory, normal_axis=axis, axes=("x", "y", "z"))
+def cmd_assemble(args: argparse.Namespace) -> int:
+    theory = resolve_theory(args)
+    sys_ = assemble_system(theory, normal_axis=args.normal_axis, axes=("x", "y", "z"))
     orth = verify_orthogonality(sys_.basis)
     if not orth.ok:
         raise RuntimeError(f"orthogonality defect {orth.max_deviation:.3e}")
@@ -233,13 +240,12 @@ def cmd_assemble(cfg: RunConfig) -> int:
         raise RuntimeError(f"symmetrizer not positive definite ({s_eigs.min():.3e})")
     dec = characteristic_decomposition(sys_)
 
-    dump = cfg.values.get("dump")
-    if dump:
+    if args.dump:
         matrices = {"s-matrix": sys_.S, "a-x": sys_.A["x"], "a-y": sys_.A["y"],
                     "a-z": sys_.A["z"], "p-bgk": sys_.P_bgk}
-        _write_matrix(matrices[dump], cfg.values.get("out"))
+        _write_matrix(matrices[args.dump], args.out)
         return 0
-    _emit(_report(cfg, {
+    _emit(_report(args, {
         "theory": theory.name,
         "reduction": theory.reduction,
         "moments": sys_.size,
@@ -290,36 +296,33 @@ def _combined_stability(sys_, dec, chi) -> dict:
     }
 
 
-def cmd_check_stability(cfg: RunConfig) -> int:
-    theory = resolve_theory(cfg)
-    axis = cfg.values.get("normal_axis") or "x"
-    sys_ = assemble_system(theory, normal_axis=axis, axes=(axis,))
-    dec = characteristic_decomposition(sys_)
-    scan = cfg.values.get("scan_chi")
-    if scan:
+def cmd_check_stability(args: argparse.Namespace) -> int:
+    theory = resolve_theory(args)
+    chis = [args.chi]
+    if args.scan_chi:
         try:
-            a, b, n = scan.split(":")
+            a, b, n = args.scan_chi.split(":")
             a, b, n = float(a), float(b), int(n)
         except ValueError:
-            raise UsageError(f"malformed --scan-chi {scan!r} (want a:b:n)")
+            raise UsageError(f"malformed --scan-chi {args.scan_chi!r} (want a:b:n)")
         if n < 1:
             raise UsageError("--scan-chi needs at least one sample")
-        chis = np.linspace(a, b, n)
-        _emit(_report(cfg, {
-            "theory": theory.name,
-            "scan": [_combined_stability(sys_, dec, float(c)) for c in chis],
-        }))
-        return 0
-    chi = float(cfg.values.get("chi") or 1.0)
-    kind = cfg.values.get("bc")
-    if kind:
-        payload = _stability_payload(sys_, dec, kind, chi)
-        payload.update({"theory": theory.name, "chi": chi})
-        _emit(_report(cfg, payload))
-        return 0
-    payload = _combined_stability(sys_, dec, chi)
+        chis = [float(c) for c in np.linspace(a, b, n)]
+    with _usage_errors():
+        for chi in chis:
+            accommodation_gain(chi)
+    axis = args.normal_axis
+    sys_ = assemble_system(theory, normal_axis=axis, axes=(axis,))
+    dec = characteristic_decomposition(sys_)
+    if args.scan_chi:
+        payload = {"scan": [_combined_stability(sys_, dec, c) for c in chis]}
+    elif args.bc:
+        payload = _stability_payload(sys_, dec, args.bc, args.chi)
+        payload["chi"] = args.chi
+    else:
+        payload = _combined_stability(sys_, dec, args.chi)
     payload["theory"] = theory.name
-    _emit(_report(cfg, payload))
+    _emit(_report(args, payload))
     return 0
 
 
@@ -337,35 +340,24 @@ def _write_channel_csv(path: str, sol, names) -> list:
     return cols
 
 
-def cmd_solve_channel(cfg: RunConfig) -> int:
-    theory = resolve_theory(cfg)
-    try:
-        channel_cfg = ChannelConfig(
-            theory=theory,
-            kn=float(cfg.values.get("kn") or 0.3),
-            chi=float(cfg.values.get("chi") or 1.0),
-            bc_kind=cfg.values.get("bc") or "obc",
-            n_grid=int(cfg.values.get("grid") or 512),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    ref_names = cfg.values.get("reference")
-    if ref_names:
-        theories = tuple(theory_from_name(tok.strip(), theory.reduction)
-                         for tok in ref_names.split(","))
+def cmd_solve_channel(args: argparse.Namespace) -> int:
+    channel_cfg = _channel_config(args)
+    theory = channel_cfg.theory
+    if args.reference:
+        with _usage_errors():
+            theories = tuple(theory_from_name(tok.strip(), theory.reduction)
+                             for tok in args.reference.split(","))
         sol = reference_solution(channel_cfg, theories)
         names = []
     else:
         sys_ = assemble_system(theory, normal_axis="y", axes=("y",))
         sol = solve_steady(channel_cfg, sys=sys_)
         names = sys_.basis.names()
-    out = cfg.values.get("out")
     payload = {"theory": theory.name, "diagnostics": sol.diagnostics}
-    if out:
-        cols = _write_channel_csv(_outpath(out), sol, names)
-        payload["out"] = out
-        payload["columns"] = cols
-    _emit(_report(cfg, payload))
+    if args.out:
+        payload["columns"] = _write_channel_csv(_outpath(args.out), sol, names)
+        payload["out"] = args.out
+    _emit(_report(args, payload))
     return 0
 
 
@@ -397,9 +389,9 @@ unset multiplot
 """
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    left = _read_channel_csv(_outpath(cfg.values["left"]))
-    right = _read_channel_csv(_outpath(cfg.values["right"]))
+def cmd_compare(args: argparse.Namespace) -> int:
+    left = _read_channel_csv(_outpath(args.left))
+    right = _read_channel_csv(_outpath(args.right))
     for col in ("y", "theta", "sigma_yy"):
         if col not in left or col not in right:
             raise UsageError(f"both inputs need a {col!r} column")
@@ -408,7 +400,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         raise UsageError("inputs live on different grids")
     e_theta = np.abs(left["theta"] - right["theta"])
     e_sigma = np.abs(left["sigma_yy"] - right["sigma_yy"])
-    out = cfg.values.get("out")
+    out = args.out
     payload = {
         "max_e_theta": float(e_theta.max()),
         "max_e_sigma": float(e_sigma.max()),
@@ -426,49 +418,30 @@ def cmd_compare(cfg: RunConfig) -> int:
                     left["sigma_yy"][i], right["sigma_yy"][i],
                     e_theta[i], e_sigma[i])])
         payload["out"] = out
-        plot = cfg.values.get("plot")
-        if plot:
-            plot = _outpath(plot)
+        if args.plot:
+            plot = _outpath(args.plot)
             with open(plot, "w") as fh:
                 fh.write(_GNUPLOT.format(csv=out, png=out + ".png"))
             payload["plot"] = plot
-    _emit(_report(cfg, payload))
+    _emit(_report(args, payload))
     return 0
 
 
-def cmd_energy_march(cfg: RunConfig) -> int:
-    theory = resolve_theory(cfg)
-    homogeneous = bool(cfg.values.get("homogeneous"))
-    try:
-        channel_cfg = ChannelConfig(
-            theory=theory,
-            kn=float(cfg.values.get("kn") or 0.3),
-            chi=float(cfg.values.get("chi") or 1.0),
-            bc_kind=cfg.values.get("bc") or "obc",
-            n_grid=int(cfg.values.get("grid") or 128),
-            wall_temp=0.0 if homogeneous else WALL_TEMP_COEFF,
-            source_amplitude=0.0 if homogeneous else SOURCE_AMPLITUDE,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    res = time_march_energy(
-        channel_cfg,
-        t_final=float(cfg.values.get("t_final") or 10.0),
-        cfl=float(cfg.values.get("cfl") or 0.4),
-        init=cfg.values.get("init") or "zero",
-        seed=int(cfg.values.get("seed") or 0),
-    )
-    out = cfg.values.get("out")
-    if out:
-        with open(_outpath(out), "w", newline="") as fh:
+def cmd_energy_march(args: argparse.Namespace) -> int:
+    quiet = {"wall_temp": 0.0, "source_amplitude": 0.0} if args.homogeneous else {}
+    channel_cfg = _channel_config(args, **quiet)
+    res = time_march_energy(channel_cfg, t_final=args.t_final, cfl=args.cfl,
+                            init=args.init, seed=args.seed)
+    if args.out:
+        with open(_outpath(args.out), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "energy"])
             for t, e in zip(res.times, res.energy):
                 writer.writerow([FLOAT_FMT % t, FLOAT_FMT % e])
     e0 = float(res.energy[0])
     steps = int(res.times.size - 1)
-    _emit(_report(cfg, {
-        "theory": theory.name,
+    _emit(_report(args, {
+        "theory": channel_cfg.theory.name,
         "dt": res.dt,
         "steps": steps,
         "energy_initial": e0,
@@ -476,7 +449,7 @@ def cmd_energy_march(cfg: RunConfig) -> int:
         "max_energy_growth": res.max_energy_growth,
         "relative_growth": res.max_energy_growth / e0 if e0 > 0 else 0.0,
         "blowup": res.blowup,
-        "out": out,
+        "out": args.out,
         "timings": {"march_s": res.march_s,
                     "step_us": 1e6 * res.march_s / steps},
     }))
@@ -492,10 +465,6 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.subcommand](cfg)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--version" in argv:
@@ -505,8 +474,8 @@ def main(argv=None) -> int:
             print(f"momentbc {__version__}")
         return 0
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
+        args = parse_args(argv)
+        return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"momentbc: error: {exc}", file=sys.stderr)
         return 1

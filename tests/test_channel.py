@@ -32,6 +32,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(kn=-0.1)
     with pytest.raises(ValueError):
+        make_config(kn=float("nan"))
+    with pytest.raises(ValueError):
         make_config(n_grid=8)
     with pytest.raises(ValueError):
         make_config(bc_kind="diffuse")
@@ -245,6 +247,15 @@ def test_march_random_data_decays():
 def test_march_rejects_unknown_initializer():
     with pytest.raises(ValueError):
         time_march_energy(make_config(n_grid=32), t_final=0.1, init="ones")
+
+
+@pytest.mark.parametrize("bad", [{"cfl": 0.0}, {"cfl": -1.0}, {"t_final": 0.0},
+                                 {"t_final": -1.0}, {"t_final": float("inf")},
+                                 {"cfl": float("nan")}])
+def test_march_rejects_nonpositive_step_or_horizon(bad):
+    kw = {"t_final": 0.1, "cfl": 0.4, **bad}
+    with pytest.raises(ValueError, match="finite and positive"):
+        time_march_energy(make_config(n_grid=32), **kw)
 
 
 def test_march_detects_unstable_step():

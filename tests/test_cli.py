@@ -99,9 +99,30 @@ def test_assemble_dump_to_stdout(capsys):
     ("check-stability", "--theory", "G20", "--scan-chi", "0.5:1.0"),
     ("check-stability", "--theory", "G20", "--scan-chi", "0.5:1.0:0"),
     ("solve-channel", "--theory", "G20", "--kn", "-1"),
+    ("solve-channel", "--theory", "G20", "--kn", "0"),
+    ("solve-channel", "--theory", "G20", "--grid", "0"),
+    ("solve-channel", "--theory", "G20", "--chi", "0"),
+    ("solve-channel", "--theory", "G20", "--reference", "G20,G999"),
+    ("check-stability", "--theory", "G20", "--chi", "1.5"),
+    ("check-stability", "--theory", "G20", "--scan-chi", "0:1:3"),
+    ("energy-march", "--theory", "G20", "--cfl", "-1"),
+    ("energy-march", "--theory", "G20", "--t-final", "0"),
+    ("assemble", "--theory", "G20", "--normal-axis", "z"),
+    # a dict stands for a --config file holding it
+    ("solve-channel", {"theory": "G20", "frobnicate": 1}),
+    ("solve-channel", {"theory": "G20", "kn": 0}),
+    ("energy-march", {"theory": "G20", "grid": False}),
+    ("compare", "a.csv", "b.csv", {"theory": "G20"}),
 ])
-def test_usage_errors_exit_one(capsys, argv):
-    rc, _, err = run_cli(capsys, *argv)
+def test_usage_errors_exit_one(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            arg = f"--config={cfg}"
+        args.append(arg)
+    rc, _, err = run_cli(capsys, *args)
     assert rc == 1
     assert "error" in err
 
@@ -284,6 +305,24 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert rep["config"]["grid"] == 24
     _, data = load_csv(out)
     assert data.shape[0] == 24
+
+
+def test_config_echo_is_the_options_that_ran(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theory": "G20", "grid": 32}))
+    rep = run_json(capsys, "solve-channel", "--config", str(cfg), "--kn", "0.2")
+    assert rep["config"] == {
+        "subcommand": "solve-channel", "config": str(cfg), "theory": "G20",
+        "m": None, "reduction": "planar", "bc": "obc", "kn": 0.2, "chi": 1.0,
+        "grid": 32, "out": None, "reference": None}
+    cfg.write_text(json.dumps({"theory": "G20", "grid": 32, "homogeneous": False,
+                               "t_final": 0.1}))
+    march = run_json(capsys, "energy-march", "--config", str(cfg))["config"]
+    assert march["subcommand"] == "energy-march"
+    assert set(march) - set(rep["config"]) == {"t_final", "cfl", "init", "seed",
+                                               "homogeneous"}
+    assert set(rep["config"]) - set(march) == {"reference"}
+    assert (march["grid"], march["t_final"], march["homogeneous"]) == (32, 0.1, False)
 
 
 def test_config_file_must_be_json_object(capsys, tmp_path):
