@@ -20,4 +20,4 @@ from .boundary import (BoundaryOperator, WallData, assemble_mbc, assemble_obc,
                        make_boundary_operator, wall_inhomogeneity)
 from .stability import StabilityReport, check_stability
 from .channel import (ChannelConfig, ChannelSolution, reference_solution,
-                      solve_steady, source_vector, time_march_energy)
+                      solve_modal, solve_steady, source_vector, time_march_energy)

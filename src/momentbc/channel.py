@@ -3,14 +3,19 @@
 Steady heat conduction in a slab y in [-1/2, 1/2] driven by the quadratic
 volumetric heating r(y) = a y^2 with isothermal walls.  In reference units
 the steady balance forces zero normal velocity and a heat-flux difference
-across the channel equal to the integrated heating a/12.  The steady solver
-collocates the system on a uniform grid with characteristic-biased
-third-order stencils, boundary rows replacing the odd-moment equations at
-the walls and third-order one-sided even rows there; the time marcher
+across the channel equal to the integrated heating a/12.  Two steady
+solvers share the diagnostics.  solve_modal solves the linear system
+exactly, as exponential and polynomial modes of the moment system plus a
+polynomial particular part, and samples the result on the grid; the
+converged-family reference (reference_solution) averages it.
+solve_steady collocates the system on a uniform grid with
+characteristic-biased third-order stencils, boundary rows replacing the
+odd-moment equations at the walls and third-order one-sided even rows
+there; its error against solve_modal falls as h^3.  The time marcher
 integrates the same system with second-order upwind characteristic
 splitting and a three-stage strong stability preserving scheme.  Both
-operators are terms of a node stencil, given as a weight table, times an
-m x m moment block, and both are block-Toeplitz: nodes 2..N-3 share one
+grid operators are terms of a node stencil, given as a weight table, times
+an m x m moment block, and both are block-Toeplitz: nodes 2..N-3 share one
 block row, and only the rows of nodes 0, 1, N-2 and N-1 differ.  Those
 five block rows are summed straight from the tables.  The steady solve
 lays them out as a sparse matrix for the factorization; the marcher
@@ -26,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -60,8 +66,8 @@ class ChannelConfig:
     source_amplitude: float = SOURCE_AMPLITUDE
 
     def __post_init__(self):
-        if not self.kn > 0:
-            raise ValueError("Knudsen number must be positive")
+        if not 0 < self.kn < math.inf:
+            raise ValueError("Knudsen number must be finite and positive")
         if self.n_grid < 16:
             raise ValueError("need at least 16 grid nodes")
         if self.bc_kind not in ("mbc", "obc"):
@@ -226,6 +232,20 @@ def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
     return K
 
 
+def _steady_diagnostics(cfg, fields, residual, operator_s, solve_s) -> dict:
+    """Health numbers shared by the steady solvers' reports."""
+    diagnostics = {
+        "residual": residual,
+        "max_v_y": float(np.abs(fields["v_y"]).max()),
+        "flux_balance_target": cfg.source_amplitude / 12.0,
+        "symmetry_error": _symmetry_error(fields),
+        "timings": {"operator_s": operator_s, "solve_s": solve_s},
+    }
+    if "q_y" in fields:
+        diagnostics["flux_balance"] = float(fields["q_y"][-1] - fields["q_y"][0])
+    return diagnostics
+
+
 def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution:
     """Steady channel solve on cfg.n_grid collocation nodes.
 
@@ -282,17 +302,170 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
 
     alpha = x[:size].reshape(N, m)
     fields = extract_fields(bs, alpha)
-    target = cfg.source_amplitude / 12.0
-    diagnostics = {
-        "residual": residual,
-        "gauge_multiplier": float(x[size]),
-        "max_v_y": float(np.abs(fields["v_y"]).max()),
-        "flux_balance_target": target,
-        "symmetry_error": _symmetry_error(fields),
-    }
-    if "q_y" in fields:
-        diagnostics["flux_balance"] = float(fields["q_y"][-1] - fields["q_y"][0])
-    diagnostics["timings"] = {"operator_s": operator_s, "solve_s": solve_s}
+    diagnostics = _steady_diagnostics(cfg, fields, residual, operator_s, solve_s)
+    diagnostics["gauge_multiplier"] = float(x[size])
+    return ChannelSolution(config=cfg, y=y, alpha=alpha, fields=fields,
+                           diagnostics=diagnostics)
+
+
+# eigenvalues of the mode pencil below this fraction of the largest are zero
+_ZERO_KAPPA = 1e-6
+
+
+def _phi(z: np.ndarray, k: int) -> np.ndarray:
+    """phi_k(z) = sum_i z^i / (i + k)!, for z <= 0.
+
+    Summed as a series below |z| = 1, and above it by the recurrence
+    phi_{j+1}(z) = (phi_j(z) - 1/j!) / z from phi_0(z) = e^z.
+    """
+    small = np.abs(z) < 1.0
+    series = np.zeros(int(small.sum()))
+    for i in range(19, -1, -1):
+        series = series * z[small] + 1.0 / math.factorial(i + k)
+    large = z[~small]
+    rec = np.exp(large)
+    for j in range(k):
+        rec = (rec - 1.0 / math.factorial(j)) / large
+    out = np.empty_like(z)
+    out[small], out[~small] = series, rec
+    return out
+
+
+def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution:
+    """Exact steady solution of A alpha' + (P/Kn) alpha = F(y) on cfg.grid().
+
+    The homogeneous solutions are 2 n_o modes: exponentials
+    v exp(kappa (y - y_w) / Kn) from the finite nonzero eigenvalues of the
+    pencil (P, -A), each anchored at the wall y_w it decays from, and the
+    n_0 polynomials that the pencil's n_0 zero eigenvalues stand for.  The
+    mode count comes from the pencil alone, independent of Kn.
+
+    Through the left eigenvectors the heating F(y) = F_1 y^2 splits into
+    A V g y^2, along the exponential modes V, and a rest.  Along mode k
+    the coordinate of alpha obeys x' = (kappa_k / Kn) x + g_k y^2; its
+    solution zero at the anchor wall is summed in phi-functions (_phi),
+    where a polynomial one would grow as Kn^3 and cancel against the
+    modes.  The rest has a polynomial particular solution of degree at
+    most J = n_0 + 2, as have the n_0 polynomial modes.  Coefficients c_j
+    in a coordinate y/l solve the block-bidiagonal rows
+    (j+1) A c_{j+1} + (l/Kn) P c_j = rest_j.  The polynomial modes are
+    the right singular vectors of the n_0 smallest singular values of
+    those rows for l = max(Kn, 1/2), with no threshold: there the rows
+    keep their Kn = 1/2 conditioning however large Kn is, and the powers
+    stay within [-1, 1] however small.  The particular part solves the
+    rows for l = 1/2 in the least squares sense over all but their n_0
+    smallest singular values (the same SVD when Kn <= 1/2), so its
+    coefficients stay of the order of the heating; in y/Kn they would
+    grow as Kn^3 and cancel against the polynomial modes, leaving
+    round-off that grows as Kn^2.  Both are sampled in 2 y.  The
+    2 n_o mode amplitudes solve the boundary rows at both walls plus the
+    nodal gauge sum_i rho(y_i) = 0 of solve_steady in the least squares
+    sense.
+
+    Raises RuntimeError when the heating has no polynomial particular
+    part (a theory of fewer than 20 moments lacks the moment to balance
+    it), when the pencil has complex or too few modes, and when the
+    pointwise residual of every node's equations and both walls' rows
+    exceeds 1e-8 of the data.  diagnostics["timings"] holds operator_s
+    (modes and particular part) and solve_s (amplitudes and sampling);
+    amplitude_cond is the condition number of the amplitude rows and
+    modes counts both kinds.
+    """
+    if sys is None:
+        sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
+    bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
+    bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
+    m, n_o, kn = sys.size, sys.n_o, cfg.kn
+    A, P, bs = sys.A["y"], sys.P_bgk, sys.basis
+
+    start = time.perf_counter()
+    kappa, W, V = sla.eig(P, -A, left=True)
+    finite = np.isfinite(kappa)
+    moving = finite & (np.abs(kappa) > _ZERO_KAPPA * np.abs(kappa[finite]).max())
+    n_poly = int(finite.sum() - moving.sum())
+    kappa, W, V = kappa[moving], W[:, moving], V[:, moving]
+    # eig returns unit eigenvectors
+    if (np.any(np.abs(kappa.imag) > 1e-10 * np.abs(kappa))
+            or np.abs(np.c_[W, V].imag).max(initial=0.0) > 1e-10):
+        raise RuntimeError("modal solve found complex modes of the pencil; "
+                           "it takes real exponential modes only")
+    kappa, W, V = kappa.real, W.real, V.real
+    if n_poly + kappa.size != 2 * n_o:
+        raise RuntimeError(f"modal solve found {n_poly} polynomial and "
+                           f"{kappa.size} exponential modes, not 2 n_o = {2 * n_o}")
+    heat = source_vector(bs, cfg.source_amplitude, 1.0)
+    g = np.linalg.solve(W.T @ A @ V, W.T @ heat)
+    J, ell = n_poly + 2, max(kn, 0.5)
+
+    def rows(l):
+        """Polynomial rows (j+1) A c_{j+1} + (l/Kn) P c_j in y/l."""
+        return (np.kron(np.eye(J + 1), l / kn * P)
+                + np.kron(np.diag(np.arange(1.0, J + 1), 1), A))
+
+    U, s, Vh = sla.svd(rows(ell))
+    r = s.size - n_poly
+    # from coefficients in y/l to coefficients in 2 y
+    c_modes = (Vh[r:].reshape(n_poly, J + 1, m)
+               * ((0.5 / ell) ** np.arange(J + 1))[:, None])
+    rest = np.zeros((J + 1) * m)
+    rest[2 * m:3 * m] = (heat - A @ V @ g) / 8.0
+    if ell != 0.5:
+        U, s, Vh = sla.svd(rows(0.5))
+    c_part = Vh[:r].T @ ((U[:, :r].T @ rest) / s[:r])
+    # the rows have a solution only if the rest misses their left null space
+    if np.linalg.norm(U[:, r:].T @ rest) > 1e-8 * np.linalg.norm(rest):
+        raise RuntimeError(
+            "modal solve found no polynomial particular part for the heating; "
+            "the theory lacks a moment needed to balance it (fewer than 20 moments)")
+    c_part = c_part.reshape(J + 1, m)
+    operator_s = time.perf_counter() - start
+
+    y = cfg.grid()
+    powers = (2.0 * y)[:, None] ** np.arange(J + 1)
+    y_wall = np.where(kappa > 0, y[-1], y[0])
+    h = y[:, None] - y_wall
+    z = kappa / kn * h
+    x_part = g * h * (y_wall ** 2 * _phi(z, 1) + 2 * y_wall * h * _phi(z, 2)
+                      + 2 * h ** 2 * _phi(z, 3))
+    decay = np.exp(z)
+
+    def values(p, e):
+        """(n, m, 2 n_o) mode values from n rows of powers and decays."""
+        return np.concatenate([np.einsum("nj,kjm->nmk", p, c_modes),
+                               e[:, None, :] * V], axis=2)
+
+    ends = values(powers[[0, -1]], decay[[0, -1]])
+    mean = values(powers.mean(axis=0, keepdims=True), decay.mean(axis=0, keepdims=True))
+    part = powers @ c_part + x_part @ V.T
+    i_rho = bs.index_of(0, 0, ())
+    wall = cfg.wall_data()
+    r_lower, r_upper = bc_lower.rhs(wall), bc_upper.rhs(wall)
+    amp, _, _, sv = sla.lstsq(
+        np.vstack([bc_lower.B @ ends[0], bc_upper.B @ ends[1], mean[:, i_rho]]),
+        np.r_[r_lower - bc_lower.B @ part[0], r_upper - bc_upper.B @ part[-1],
+              -part[:, i_rho].mean()])
+    c = c_part + np.tensordot(amp[:n_poly], c_modes, 1)
+    x = x_part + decay * amp[n_poly:]
+    alpha = powers @ c + x @ V.T
+    # d alpha / dy, for the residual of every node's equations
+    slope = (2.0 * powers[:, :-1] @ (np.arange(1.0, J + 1)[:, None] * c[1:])
+             + (kappa / kn * x + g * y[:, None] ** 2) @ V.T)
+    F = source_vector(bs, cfg.source_amplitude, y)
+    residual = float(max(np.abs(slope @ A.T + alpha @ P.T / kn - F).max(),
+                         np.abs(bc_lower.B @ alpha[0] - r_lower).max(),
+                         np.abs(bc_upper.B @ alpha[-1] - r_upper).max()))
+    solve_s = time.perf_counter() - start - operator_s
+    scale = max(float(np.abs(np.r_[F.ravel(), r_lower, r_upper]).max()), 1e-30)
+    amplitude_cond = float(sv[0] / sv[-1])
+    if not np.all(np.isfinite(alpha)) or residual > 1e-8 * scale:
+        raise RuntimeError(
+            f"modal solve residual {residual:.3e} exceeds tolerance: round-off "
+            f"in the modes or amplitudes (amplitude condition {amplitude_cond:.1e})")
+
+    fields = extract_fields(bs, alpha)
+    diagnostics = _steady_diagnostics(cfg, fields, residual, operator_s, solve_s)
+    diagnostics["amplitude_cond"] = amplitude_cond
+    diagnostics["modes"] = {"polynomial": n_poly, "exponential": int(kappa.size)}
     return ChannelSolution(config=cfg, y=y, alpha=alpha, fields=fields,
                            diagnostics=diagnostics)
 
@@ -303,13 +476,15 @@ REFERENCE_DEGREES = (5, 6, 7)
 def reference_solution(cfg: ChannelConfig, theories=None) -> ChannelSolution:
     """Mean of the converged-family solutions on the same grid.
 
-    By default averages the three largest full-degree theories of the
+    Each theory is solved exactly by solve_modal and sampled on
+    cfg.grid(), so the reference carries no discretization error.  By
+    default averages the three largest full-degree theories of the
     supported family (56, 84 and 120 moments in 3D counting).
     """
     if theories is None:
         theories = tuple(grad_theory(d, cfg.theory.reduction)
                          for d in REFERENCE_DEGREES)
-    sols = [solve_steady(replace(cfg, theory=th)) for th in theories]
+    sols = [solve_modal(replace(cfg, theory=th)) for th in theories]
     fields = {}
     for name in sols[0].fields:
         fields[name] = np.mean([s.fields[name] for s in sols], axis=0)

@@ -17,11 +17,11 @@ subcommand has no option for is a usage error.
 
 Exit codes: 0 success; 1 usage or configuration error, which includes an
 unknown option or config key, a missing --theory, a malformed --m or
---scan-chi, an unknown theory, kn <= 0, grid < 16, chi outside (0, 1]
-and cfl or t_final not finite and positive; 2 numerical verification
-failure.  Reports are JSON on stdout and embed the library version and,
-as "config", the subcommand's resolved options: what ran.  Output paths
-resolve against MOMENTBC_OUTDIR when set.
+--scan-chi, an unknown theory, kn, cfl or t_final not finite and
+positive, grid < 16, chi outside (0, 1] and a negative seed; 2 numerical
+verification failure.  Reports are JSON on stdout and embed the library
+version and, as "config", the subcommand's resolved options: what ran.
+Output paths resolve against MOMENTBC_OUTDIR when set.
 """
 
 from __future__ import annotations
@@ -71,6 +71,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type: an integer at least zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="momentbc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -113,7 +121,8 @@ def build_parser() -> _Parser:
     channel(p)
     p.add_argument("--out", help="CSV path for the solution")
     p.add_argument("--reference",
-                   help="comma list of theory names; writes their averaged fields")
+                   help="comma list of theory names; writes the average of their "
+                   "exact modal solutions sampled on the grid")
 
     p = command("compare", "join two channel CSVs, emit error columns", theory=False)
     p.add_argument("left")
@@ -126,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-final", type=positive_float, default=10.0)
     p.add_argument("--cfl", type=positive_float, default=0.4)
     p.add_argument("--init", choices=("zero", "random"), default="zero")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--homogeneous", action="store_true",
                    help="zero wall data and heating (pure decay test)")
     p.add_argument("--out", help="CSV path for the (t, energy) trace")

@@ -1,15 +1,18 @@
-"""Heated-channel benchmark: steady solver, reference envelope, time marcher."""
+"""Heated-channel benchmark: steady solvers, reference envelope, time marcher."""
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
 
+from momentbc import channel
 from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (SOURCE_AMPLITUDE, WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
-                              _march_operator, _operator_terms, _steady_operator,
-                              extract_fields, reference_solution,
+                              _march_operator, _operator_terms, _phi, _steady_operator,
+                              extract_fields, reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
 from momentbc.system import characteristic_decomposition, grad_theory
 
@@ -33,6 +36,8 @@ def test_config_validation():
         make_config(kn=-0.1)
     with pytest.raises(ValueError):
         make_config(kn=float("nan"))
+    with pytest.raises(ValueError):
+        make_config(kn=float("inf"))
     with pytest.raises(ValueError):
         make_config(n_grid=8)
     with pytest.raises(ValueError):
@@ -215,7 +220,7 @@ def test_extract_fields_skips_absent_moments():
 
 def test_reference_solution_average():
     cfg = make_config(n_grid=48)
-    single = solve_steady(cfg)
+    single = solve_modal(cfg)
     same = reference_solution(cfg, theories=(cfg.theory,) * 3)
     for name in single.fields:
         assert np.abs(same.fields[name] - single.fields[name]).max() < 1e-12
@@ -224,6 +229,95 @@ def test_reference_solution_average():
     assert ref.alpha is None
     # converged family sits within a temperature band of the 13-moment run
     assert np.abs(ref.fields["theta"] - single.fields["theta"]).max() < 0.05
+
+
+def test_modal_solution_quality_and_diagnostics():
+    sys_ = cached_system(3, normal="y", axes=("y",))
+    sol = solve_modal(make_config(n_grid=64), sys=sys_)
+    d = sol.diagnostics
+    assert sorted(d) == ["amplitude_cond", "flux_balance", "flux_balance_target",
+                         "max_v_y", "modes", "residual", "symmetry_error", "timings"]
+    assert sorted(d["timings"]) == ["operator_s", "solve_s"]
+    assert all(np.isfinite(t) and t > 0.0 for t in d["timings"].values())
+    assert d["modes"] == {"polynomial": 6, "exponential": 2 * sys_.n_o - 6}
+    # the exact solution meets criterion 07 at round-off
+    assert d["residual"] < 1e-12
+    assert d["max_v_y"] < 1e-13
+    assert abs(d["flux_balance"] - d["flux_balance_target"]) < 1e-13
+    assert d["symmetry_error"] < 1e-13
+    assert abs(sol.fields["rho"].sum()) < 1e-12
+    wall = sol.config.wall_data()
+    for sign, node in ((+1, -1), (-1, 0)):
+        bo = make_boundary_operator(sys_, "obc", 1.0, sign)
+        assert np.abs(bo.B @ sol.alpha[node] - bo.rhs(wall)).max() < 1e-13
+
+
+def test_modal_smallest_theory_cannot_balance_heating():
+    with pytest.raises(RuntimeError, match="fewer than 20 moments"):
+        solve_modal(make_config(degree=2, n_grid=32))
+
+
+@pytest.mark.parametrize("kn", [1e-3, 1e3, 1e6])
+def test_modal_holds_at_extreme_kn(kn):
+    # thin wall layers (polynomial modes in y/l), near-free flow (the
+    # heating's share along slow exponential modes in phi-functions, the
+    # polynomial particular part in 2y) stay at round-off
+    sys_ = cached_system(7, normal="y", axes=("y",))
+    d = solve_modal(make_config(degree=7, kn=kn, n_grid=64), sys=sys_).diagnostics
+    for key in ("residual", "max_v_y", "symmetry_error"):
+        assert d[key] < 1e-11, key
+    assert abs(d["flux_balance"] - d["flux_balance_target"]) < 1e-11
+    assert d["amplitude_cond"] < 1e2
+
+
+def test_modal_rejects_complex_modes(monkeypatch):
+    real_eig = channel.sla.eig
+
+    def eig_with_complex_pair(*args, **kwargs):
+        kappa, W, V = real_eig(*args, **kwargs)
+        k = int(np.flatnonzero(np.isfinite(kappa) & (np.abs(kappa) > 1e-3))[0])
+        kappa[k] += 0.5j * abs(kappa[k])
+        return kappa, W, V
+
+    monkeypatch.setattr(channel.sla, "eig", eig_with_complex_pair)
+    with pytest.raises(RuntimeError, match="complex modes"):
+        solve_modal(make_config(n_grid=32))
+
+
+def test_phi_functions_match_quadrature():
+    # phi_k(z) = int_0^1 exp(z (1 - t)) t^(k-1) / (k-1)! dt, on both sides
+    # of the switch from the series to the recurrence at |z| = 1
+    z = np.array([-40.0, -5.0, -1.5, -1.0, -0.999, -0.3, -1e-6, 0.0])
+    for k in (1, 2, 3):
+        exact = [scipy.integrate.quad(
+            lambda t: np.exp(zi * (1 - t)) * t ** (k - 1) / math.factorial(k - 1),
+            0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0] for zi in z]
+        assert np.abs(_phi(z, k) / exact - 1.0).max() < 1e-13, k
+
+
+@pytest.mark.parametrize("kn", [0.1, 0.3, 1.0, 3.0, 10.0])
+def test_modal_matches_collocation_over_kn(kn):
+    sys_ = cached_system(5, normal="y", axes=("y",))
+    cfg = make_config(degree=5, kn=kn, n_grid=512)
+    modal = solve_modal(cfg, sys=sys_)
+    steady = solve_steady(cfg, sys=sys_)
+    assert modal.diagnostics["amplitude_cond"] <= 1e5
+    for name in steady.fields:
+        assert np.abs(modal.fields[name] - steady.fields[name]).max() < 1e-6, name
+
+
+@pytest.mark.parametrize("degree, bc_kind", [(3, "obc"), (4, "mbc"), (5, "obc")])
+def test_collocation_third_order_against_modal(degree, bc_kind):
+    sys_ = cached_system(degree, normal="y", axes=("y",))
+    errors = []
+    for n_grid in (64, 128, 256):
+        cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
+        exact = solve_modal(cfg, sys=sys_).fields
+        steady = solve_steady(cfg, sys=sys_).fields
+        errors.append([np.abs(steady[k] - exact[k]).max()
+                       for k in ("rho", "theta", "sigma_yy", "q_y")])
+    order = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert order.min() >= 2.8, order
 
 
 def test_march_zero_data_stays_zero():

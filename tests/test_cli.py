@@ -100,6 +100,7 @@ def test_assemble_dump_to_stdout(capsys):
     ("check-stability", "--theory", "G20", "--scan-chi", "0.5:1.0:0"),
     ("solve-channel", "--theory", "G20", "--kn", "-1"),
     ("solve-channel", "--theory", "G20", "--kn", "0"),
+    ("solve-channel", "--theory", "G20", "--kn", "inf"),
     ("solve-channel", "--theory", "G20", "--grid", "0"),
     ("solve-channel", "--theory", "G20", "--chi", "0"),
     ("solve-channel", "--theory", "G20", "--reference", "G20,G999"),
@@ -107,6 +108,7 @@ def test_assemble_dump_to_stdout(capsys):
     ("check-stability", "--theory", "G20", "--scan-chi", "0:1:3"),
     ("energy-march", "--theory", "G20", "--cfl", "-1"),
     ("energy-march", "--theory", "G20", "--t-final", "0"),
+    ("energy-march", "--theory", "G20", "--seed", "-1"),
     ("assemble", "--theory", "G20", "--normal-axis", "z"),
     # a dict stands for a --config file holding it
     ("solve-channel", {"theory": "G20", "frobnicate": 1}),
@@ -192,19 +194,23 @@ def test_solve_channel_csv(capsys, tmp_path):
 
 
 def test_solve_channel_reference_fields_only(capsys, tmp_path):
+    # a one-theory reference is that theory's modal solution
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     ref = tmp_path / "ref.csv"
     run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "48",
-             "--out", str(a))
-    run_json(capsys, "solve-channel", "--theory", "G35", "--grid", "48",
-             "--out", str(b))
+             "--reference", "G20", "--out", str(a))
+    run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "48",
+             "--reference", "G35", "--out", str(b))
     rep = run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "48",
                    "--reference", "G20,G35", "--out", str(ref))
     assert rep["diagnostics"]["theories"] == ["G20", "G35"]
     for comp in rep["diagnostics"]["component_diagnostics"]:
         assert all(np.isfinite(t) and t > 0.0 for t in comp["timings"].values())
         assert sorted(comp["timings"]) == ["operator_s", "solve_s"]
+        assert comp["amplitude_cond"] < 1e5
+        assert comp["residual"] < 1e-12
+        assert "gauge_multiplier" not in comp
     header, data = load_csv(ref)
     assert len(header) == 6
     ha, da = load_csv(a)
@@ -282,6 +288,22 @@ def test_solve_channel_underresolved_theory_exits_two(capsys, grid):
     assert rc == 2
     assert "numerical verification failure" in err
     assert "fewer than 20 moments" in err
+
+
+def test_solve_channel_underresolved_reference_exits_two(capsys):
+    rc, _, err = run_cli(capsys, "solve-channel", "--theory", "G20", "--grid", "32",
+                         "--reference", "G10,G20")
+    assert rc == 2
+    assert "numerical verification failure" in err
+    assert "fewer than 20 moments" in err
+
+
+def test_solve_channel_reference_holds_at_large_kn(capsys):
+    # the modal reference keeps round-off accuracy in near-free flow
+    rep = run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "32",
+                   "--kn", "10000", "--reference", "G56,G120")
+    for comp in rep["diagnostics"]["component_diagnostics"]:
+        assert comp["residual"] < 1e-12
 
 
 def test_outdir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):
