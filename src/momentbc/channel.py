@@ -25,20 +25,37 @@ plus the four wall-side rows.
 
 from __future__ import annotations
 
+import importlib
 import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import BasisSet
 from .boundary import WallData, make_boundary_operator
 from .system import (MomentSystem, MomentTheory, assemble_system,
                      characteristic_decomposition, grad_theory)
+
+
+class _OnFirstUse:
+    """A module imported on its first attribute access.
+
+    Only solve_steady needs scipy, so importing momentbc loads numpy alone.
+    spla stays a module attribute, through which bench/tracer.py wraps
+    spsolve.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp = _OnFirstUse("scipy.sparse")
+spla = _OnFirstUse("scipy.sparse.linalg")
 
 SOURCE_AMPLITUDE = math.sqrt(2.0 / 3.0)
 WALL_TEMP_COEFF = -math.sqrt(3.0 / 2.0)
@@ -308,8 +325,62 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
                            diagnostics=diagnostics)
 
 
-# eigenvalues of the mode pencil below this fraction of the largest are zero
-_ZERO_KAPPA = 1e-6
+# eigenvalues and singular values below this fraction of max|A^| count as
+# zero in the reduction of the mode pencil
+_RANK_TOL = 1e-8
+
+
+def _pencil_modes(sys: MomentSystem):
+    """Modes of the pencil (P, -A), P v = -kappa A v, by a symmetric reduction.
+
+    S A is symmetric and P commutes with S, so in x = S^1/2 v the pencil
+    reads A^ x = mu P x, with A^ = S^1/2 A S^-1/2 symmetric and
+    mu = -1/kappa.  P is zero on the collision invariants c and the
+    identity on the rest r.  The c rows give
+    x_c = -A^_cc^+ A^_cr x_r + N_0 t, over the null space N_0 of A^_cc,
+    provided C^T x_r = 0 with C = A^_rc N_0; the r rows then read
+    G x_r + C t = mu x_r, with G = A^_rr - A^_rc A^_cc^+ A^_cr.  On
+    x_r = Z y, Z = null(C^T), that is the symmetric eigenproblem
+    Z^T G Z y = mu y, and C t = (mu - G) x_r fixes t.  Its nonzero mu are
+    the exponential modes, real by construction; the n_c + rank C
+    eigenvalues left out of the reduction are the zero kappa.
+
+    Returns (n_poly, kappa, W, V): the count of zero kappa, and the
+    nonzero kappa with right eigenvectors V (unit columns) and left
+    eigenvectors W = S V.  Raises RuntimeError when C is rank deficient:
+    then P and A share a null vector n, and no steady solution exists
+    unless the heating is orthogonal to S n.  Below 20 moments (G10) it is
+    not: n mixes density and temperature, which no heat flux carries.
+    """
+    dec = characteristic_decomposition(sys)
+    A_hat = dec.S_half @ sys.A["y"] @ dec.S_half_inv
+    A_hat = 0.5 * (A_hat + A_hat.T)
+    tol = _RANK_TOL * np.abs(A_hat).max()
+    c = np.diag(sys.P_bgk) == 0.0
+    r = ~c
+    lam, Q = np.linalg.eigh(A_hat[np.ix_(c, c)])
+    null = np.abs(lam) <= tol
+    N0, Q, lam = Q[:, null], Q[:, ~null], lam[~null]
+    A_rc = A_hat[np.ix_(r, c)]
+    pinv_cr = (Q / lam) @ (Q.T @ A_rc.T)
+    U, s, Vh = np.linalg.svd(A_rc @ N0)
+    rank = int((s > tol).sum())
+    if rank < N0.shape[1]:
+        raise RuntimeError(
+            "modal solve found a singular mode pencil: the relaxation and the "
+            "flux share a null vector, so the theory lacks a moment needed to "
+            "balance the heating (fewer than 20 moments)")
+    Z = U[:, rank:]
+    G = A_hat[np.ix_(r, r)] - A_rc @ pinv_cr
+    mu, Y = np.linalg.eigh(Z.T @ G @ Z)
+    moving = np.abs(mu) > tol
+    mu, x_r = mu[moving], Z @ Y[:, moving]
+    t = Vh.T @ ((U[:, :rank].T @ (x_r * mu - G @ x_r)) / s[:, None])
+    x = np.zeros((sys.size, mu.size))
+    x[c], x[r] = N0 @ t - pinv_cr @ x_r, x_r
+    V = dec.S_half_inv @ x
+    V /= np.linalg.norm(V, axis=0)
+    return int(c.sum()) + rank, -1.0 / mu, sys.S @ V, V
 
 
 def _phi(z: np.ndarray, k: int) -> np.ndarray:
@@ -335,10 +406,10 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     """Exact steady solution of A alpha' + (P/Kn) alpha = F(y) on cfg.grid().
 
     The homogeneous solutions are 2 n_o modes: exponentials
-    v exp(kappa (y - y_w) / Kn) from the finite nonzero eigenvalues of the
-    pencil (P, -A), each anchored at the wall y_w it decays from, and the
-    n_0 polynomials that the pencil's n_0 zero eigenvalues stand for.  The
-    mode count comes from the pencil alone, independent of Kn.
+    v exp(kappa (y - y_w) / Kn) from the nonzero eigenvalues of the pencil
+    (P, -A) (_pencil_modes), each anchored at the wall y_w it decays from,
+    and the n_0 polynomials that the pencil's n_0 zero eigenvalues stand
+    for.  The mode count comes from the pencil alone, independent of Kn.
 
     Through the left eigenvectors the heating F(y) = F_1 y^2 splits into
     A V g y^2, along the exponential modes V, and a rest.  Along mode k
@@ -362,12 +433,13 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     nodal gauge sum_i rho(y_i) = 0 of solve_steady in the least squares
     sense.
 
-    Raises RuntimeError when the heating has no polynomial particular
-    part (a theory of fewer than 20 moments lacks the moment to balance
-    it), when the pencil has complex or too few modes, and when the
-    pointwise residual of every node's equations and both walls' rows
-    exceeds 1e-8 of the data.  diagnostics["timings"] holds operator_s
-    (modes and particular part) and solve_s (amplitudes and sampling);
+    Raises RuntimeError when the pencil is singular (a theory of fewer
+    than 20 moments lacks the moment to balance the heating, see
+    _pencil_modes) or has too few modes, when round-off at large Kn leaves
+    the heating no polynomial particular part, and when the pointwise
+    residual of every node's equations and both walls' rows exceeds 1e-8
+    of the data.  diagnostics["timings"] holds operator_s (modes and
+    particular part) and solve_s (amplitudes and sampling);
     amplitude_cond is the condition number of the amplitude rows and
     modes counts both kinds.
     """
@@ -379,17 +451,7 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     A, P, bs = sys.A["y"], sys.P_bgk, sys.basis
 
     start = time.perf_counter()
-    kappa, W, V = sla.eig(P, -A, left=True)
-    finite = np.isfinite(kappa)
-    moving = finite & (np.abs(kappa) > _ZERO_KAPPA * np.abs(kappa[finite]).max())
-    n_poly = int(finite.sum() - moving.sum())
-    kappa, W, V = kappa[moving], W[:, moving], V[:, moving]
-    # eig returns unit eigenvectors
-    if (np.any(np.abs(kappa.imag) > 1e-10 * np.abs(kappa))
-            or np.abs(np.c_[W, V].imag).max(initial=0.0) > 1e-10):
-        raise RuntimeError("modal solve found complex modes of the pencil; "
-                           "it takes real exponential modes only")
-    kappa, W, V = kappa.real, W.real, V.real
+    n_poly, kappa, W, V = _pencil_modes(sys)
     if n_poly + kappa.size != 2 * n_o:
         raise RuntimeError(f"modal solve found {n_poly} polynomial and "
                            f"{kappa.size} exponential modes, not 2 n_o = {2 * n_o}")
@@ -402,7 +464,7 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
         return (np.kron(np.eye(J + 1), l / kn * P)
                 + np.kron(np.diag(np.arange(1.0, J + 1), 1), A))
 
-    U, s, Vh = sla.svd(rows(ell))
+    U, s, Vh = np.linalg.svd(rows(ell))
     r = s.size - n_poly
     # from coefficients in y/l to coefficients in 2 y
     c_modes = (Vh[r:].reshape(n_poly, J + 1, m)
@@ -410,13 +472,16 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     rest = np.zeros((J + 1) * m)
     rest[2 * m:3 * m] = (heat - A @ V @ g) / 8.0
     if ell != 0.5:
-        U, s, Vh = sla.svd(rows(0.5))
+        U, s, Vh = np.linalg.svd(rows(0.5))
     c_part = Vh[:r].T @ ((U[:, :r].T @ rest) / s[:r])
-    # the rows have a solution only if the rest misses their left null space
-    if np.linalg.norm(U[:, r:].T @ rest) > 1e-8 * np.linalg.norm(rest):
+    # the rows have a solution only if the rest misses their left null space;
+    # the pencil is regular here, so a miss is round-off, which grows with Kn
+    miss = np.linalg.norm(U[:, r:].T @ rest) / np.linalg.norm(rest)
+    if miss > 1e-8:
         raise RuntimeError(
-            "modal solve found no polynomial particular part for the heating; "
-            "the theory lacks a moment needed to balance it (fewer than 20 moments)")
+            f"modal solve found no polynomial particular part for the heating: "
+            f"round-off at Kn = {kn:.3g} puts {miss:.1e} of it along the left "
+            f"null space of the polynomial rows")
     c_part = c_part.reshape(J + 1, m)
     operator_s = time.perf_counter() - start
 
@@ -440,10 +505,10 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     i_rho = bs.index_of(0, 0, ())
     wall = cfg.wall_data()
     r_lower, r_upper = bc_lower.rhs(wall), bc_upper.rhs(wall)
-    amp, _, _, sv = sla.lstsq(
+    amp, _, _, sv = np.linalg.lstsq(
         np.vstack([bc_lower.B @ ends[0], bc_upper.B @ ends[1], mean[:, i_rho]]),
         np.r_[r_lower - bc_lower.B @ part[0], r_upper - bc_upper.B @ part[-1],
-              -part[:, i_rho].mean()])
+              -part[:, i_rho].mean()], rcond=None)
     c = c_part + np.tensordot(amp[:n_poly], c_modes, 1)
     x = x_part + decay * amp[n_poly:]
     alpha = powers @ c + x @ V.T

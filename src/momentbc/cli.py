@@ -357,12 +357,15 @@ def cmd_solve_channel(args: argparse.Namespace) -> int:
             theories = tuple(theory_from_name(tok.strip(), theory.reduction)
                              for tok in args.reference.split(","))
         sol = reference_solution(channel_cfg, theories)
+        solved = ",".join(th.name for th in theories)
         names = []
     else:
         sys_ = assemble_system(theory, normal_axis="y", axes=("y",))
         sol = solve_steady(channel_cfg, sys=sys_)
+        solved = theory.name
         names = sys_.basis.names()
-    payload = {"theory": theory.name, "diagnostics": sol.diagnostics}
+    payload = {"theory": solved, "reduction": theory.reduction,
+               "diagnostics": sol.diagnostics}
     if args.out:
         payload["columns"] = _write_channel_csv(_outpath(args.out), sol, names)
         payload["out"] = args.out

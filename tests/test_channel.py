@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse as sp
 
-from momentbc import channel
 from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (SOURCE_AMPLITUDE, WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
-                              _march_operator, _operator_terms, _phi, _steady_operator,
-                              extract_fields, reference_solution, solve_modal,
+                              _march_operator, _operator_terms, _pencil_modes,
+                              _phi, _steady_operator, extract_fields,
+                              reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
 from momentbc.system import characteristic_decomposition, grad_theory
 
@@ -270,18 +271,42 @@ def test_modal_holds_at_extreme_kn(kn):
     assert d["amplitude_cond"] < 1e2
 
 
-def test_modal_rejects_complex_modes(monkeypatch):
-    real_eig = channel.sla.eig
+@pytest.mark.parametrize("reduction, n_poly", [("planar", 6), ("full3d", 8)])
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_pencil_modes_match_qz(degree, reduction, n_poly):
+    # the symmetric reduction against scipy's QZ on the unreduced pencil
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    A, P = sys_.A["y"], sys_.P_bgk
+    n, kappa, W, V = _pencil_modes(sys_)
+    assert n == n_poly
+    assert kappa.size == 2 * sys_.n_o - n_poly
+    qz = scipy.linalg.eig(P, -A, right=False)
+    qz = qz[np.isfinite(qz)]
+    qz = np.sort(qz[np.abs(qz) > 1e-6 * np.abs(qz).max()].real)
+    assert np.all(np.abs(np.sort(kappa) - qz) <= 1e-12 * np.abs(qz))
+    tol = 1e-13 * np.abs(A).max()
+    assert np.abs(P @ V + A @ V * kappa).max() <= tol
+    assert np.abs(W.T @ P + kappa[:, None] * (W.T @ A)).max() <= tol
 
-    def eig_with_complex_pair(*args, **kwargs):
-        kappa, W, V = real_eig(*args, **kwargs)
-        k = int(np.flatnonzero(np.isfinite(kappa) & (np.abs(kappa) > 1e-3))[0])
-        kappa[k] += 0.5j * abs(kappa[k])
-        return kappa, W, V
 
-    monkeypatch.setattr(channel.sla, "eig", eig_with_complex_pair)
-    with pytest.raises(RuntimeError, match="complex modes"):
-        solve_modal(make_config(n_grid=32))
+@pytest.mark.parametrize("kn", [1e-3, 0.3, 1e3])
+@pytest.mark.parametrize("degree", [6, 7])
+def test_modal_full3d(degree, kn):
+    # the degenerate real modes of full3d G84 and G120 stay real
+    sys_ = cached_system(degree, "full3d", normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(degree, "full3d"), kn=kn, n_grid=64)
+    d = solve_modal(cfg, sys=sys_).diagnostics
+    assert d["residual"] < 1e-11
+    assert d["amplitude_cond"] < 1e2
+    assert d["modes"]["polynomial"] == 8
+
+
+def test_modal_regular_pencil_roundoff_is_not_a_missing_moment():
+    # G35 has the moments to balance the heating; near-free flow loses the
+    # particular part to round-off, and the message says so
+    with pytest.raises(RuntimeError, match="round-off at Kn") as info:
+        solve_modal(make_config(degree=4, kn=1e8, n_grid=32))
+    assert "fewer than 20 moments" not in str(info.value)
 
 
 def test_phi_functions_match_quadrature():

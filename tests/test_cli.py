@@ -204,6 +204,9 @@ def test_solve_channel_reference_fields_only(capsys, tmp_path):
              "--reference", "G35", "--out", str(b))
     rep = run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "48",
                    "--reference", "G20,G35", "--out", str(ref))
+    # the report names the theories solved, not --theory
+    assert rep["theory"] == "G20,G35"
+    assert rep["reduction"] == "planar"
     assert rep["diagnostics"]["theories"] == ["G20", "G35"]
     for comp in rep["diagnostics"]["component_diagnostics"]:
         assert all(np.isfinite(t) and t > 0.0 for t in comp["timings"].values())
@@ -306,6 +309,17 @@ def test_solve_channel_reference_holds_at_large_kn(capsys):
         assert comp["residual"] < 1e-12
 
 
+def test_solve_channel_full3d_reference(capsys):
+    # full3d G84 and G120 have repeated real modes, which stay real
+    rep = run_json(capsys, "solve-channel", "--theory", "G56", "--reduction", "full3d",
+                   "--grid", "128", "--reference", "G56,G84,G120")
+    assert rep["theory"] == "G56,G84,G120"
+    assert rep["reduction"] == "full3d"
+    for comp in rep["diagnostics"]["component_diagnostics"]:
+        assert comp["residual"] < 1e-11
+        assert comp["modes"]["polynomial"] == 8
+
+
 def test_outdir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MOMENTBC_OUTDIR", str(tmp_path))
     run_cli(capsys, "assemble", "--theory", "G20",
@@ -366,6 +380,14 @@ def declared_scripts():
         return tomllib.load(fh)["project"]["scripts"]
 
 
+def run_python(code):
+    # run the package under test, whatever the caller's environment holds
+    src = os.path.dirname(os.path.dirname(momentbc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_installed_script_runs():
     scripts = declared_scripts()
     assert list(scripts) == ["momentbc"]
@@ -375,11 +397,16 @@ def test_installed_script_runs():
             "sys.argv = ['momentbc', '--version']\n"
             f"ep = EntryPoint('momentbc', {scripts['momentbc']!r}, 'console_scripts')\n"
             "sys.exit(ep.load()())\n")
-    # run the package under test, whatever the caller's environment holds
-    src = os.path.dirname(os.path.dirname(momentbc.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"momentbc {momentbc.__version__}\n"
+
+
+def test_import_loads_no_scipy():
+    # scipy is loaded by the collocation solve only, not by the import
+    code = ("import sys\n"
+            "import momentbc, momentbc.cli\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
