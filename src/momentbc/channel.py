@@ -7,7 +7,10 @@ across the channel equal to the integrated heating a/12.  Two steady
 solvers share the diagnostics.  solve_modal solves the linear system
 exactly, as exponential and polynomial modes of the moment system plus a
 polynomial particular part, and samples the result on the grid; the
-converged-family reference (reference_solution) averages it.
+exponential modes come from a symmetric m-sized eigenproblem, and the
+polynomial ones and the particular part from the pencil's d x d block
+left once the exponential modes are split off, d = m - n_exp, all in
+numpy.  The converged-family reference (reference_solution) averages it.
 solve_steady collocates the system on a uniform grid with
 characteristic-biased third-order stencils, boundary rows replacing the
 odd-moment equations at the walls and third-order one-sided even rows
@@ -402,6 +405,75 @@ def _phi(z: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _deflation(A, W, V):
+    """Orthonormal bases Y and Z that split the exponential modes off.
+
+    Z spans the complement of range(A V) and Y that of range(A^T W), each
+    from one m-sized SVD.  P V = -A V diag(kappa) and
+    W^T P = -diag(kappa) W^T A, so Z^T A V, Z^T P V, W^T A Y and W^T P Y
+    vanish: in the bases [V Y] and [W Z] the pencil (A, P) is block
+    diagonal.  Y and Z have m - n_exp columns each.
+    """
+    n = V.shape[1]
+    return np.linalg.svd(A.T @ W)[0][:, n:], np.linalg.svd(A @ V)[0][:, n:]
+
+
+def _polynomial_part(A, P, kn, n_poly, W, V, rest):
+    """Polynomial modes and the particular part of the heating rest * y^2.
+
+    Polynomial coefficients c_j in a coordinate y/l, up to degree
+    J = n_poly + 2, solve the block-bidiagonal rows
+    (j+1) A c_{j+1} + (l/Kn) P c_j = rest_j.  W^T rest = 0 and
+    W^T P = -diag(kappa) W^T A with no kappa zero, so the W rows force the
+    V part of every solution to zero, from the top degree down: every
+    solution lies in span(Y) (_deflation).  The rows are solved as
+    c_j = Y b_j through the d x d blocks Z^T A Y and Z^T P Y,
+    d = m - n_exp.  The polynomial modes are the right singular vectors of
+    the n_poly smallest singular values of those rows for l = max(Kn, 1/2),
+    with no threshold: there the rows keep their Kn = 1/2 conditioning
+    however large Kn is, and the powers stay within [-1, 1] however small.
+    The particular part solves the rows for l = 1/2 in the least squares
+    sense over all but their n_poly smallest singular values (the same SVD
+    when Kn <= 1/2), so its coefficients stay of the order of the heating;
+    in y/Kn they would grow as Kn^3 and cancel against the polynomial
+    modes, leaving round-off that grows as Kn^2.  Y is orthonormal, so
+    this is the minimum-norm particular part of the unreduced rows too.
+
+    Returns (c_modes, c_part), (n_poly, J+1, m) and (J+1, m), as
+    coefficients in 2 y.  Raises RuntimeError when round-off puts more than
+    1e-8 of the rest along the rows' left null space.
+    """
+    Y, Z = _deflation(A, W, V)
+    A_d, P_d = Z.T @ A @ Y, Z.T @ P @ Y
+    d = Y.shape[1]
+    J, ell = n_poly + 2, max(kn, 0.5)
+
+    def rows(l):
+        """Deflated rows (j+1) A_d b_{j+1} + (l/Kn) P_d b_j in y/l."""
+        return (np.kron(np.eye(J + 1), l / kn * P_d)
+                + np.kron(np.diag(np.arange(1.0, J + 1), 1), A_d))
+
+    U, s, Vh = np.linalg.svd(rows(ell))
+    r = s.size - n_poly
+    # from coefficients in y/l to coefficients in 2 y
+    c_modes = (Vh[r:].reshape(n_poly, J + 1, d)
+               * ((0.5 / ell) ** np.arange(J + 1))[:, None]) @ Y.T
+    rest_d = np.zeros((J + 1) * d)
+    rest_d[2 * d:3 * d] = Z.T @ rest / 8.0
+    if ell != 0.5:
+        U, s, Vh = np.linalg.svd(rows(0.5))
+    c_part = Vh[:r].T @ ((U[:, :r].T @ rest_d) / s[:r])
+    # the rows have a solution only if the rest misses their left null space;
+    # the pencil is regular here, so a miss is round-off, which grows with Kn
+    miss = np.linalg.norm(U[:, r:].T @ rest_d) / (np.linalg.norm(rest) / 8.0)
+    if miss > 1e-8:
+        raise RuntimeError(
+            f"modal solve found no polynomial particular part for the heating: "
+            f"round-off at Kn = {kn:.3g} puts {miss:.1e} of it along the left "
+            f"null space of the polynomial rows")
+    return c_modes, c_part.reshape(J + 1, d) @ Y.T
+
+
 def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution:
     """Exact steady solution of A alpha' + (P/Kn) alpha = F(y) on cfg.grid().
 
@@ -417,18 +489,11 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     solution zero at the anchor wall is summed in phi-functions (_phi),
     where a polynomial one would grow as Kn^3 and cancel against the
     modes.  The rest has a polynomial particular solution of degree at
-    most J = n_0 + 2, as have the n_0 polynomial modes.  Coefficients c_j
-    in a coordinate y/l solve the block-bidiagonal rows
-    (j+1) A c_{j+1} + (l/Kn) P c_j = rest_j.  The polynomial modes are
-    the right singular vectors of the n_0 smallest singular values of
-    those rows for l = max(Kn, 1/2), with no threshold: there the rows
-    keep their Kn = 1/2 conditioning however large Kn is, and the powers
-    stay within [-1, 1] however small.  The particular part solves the
-    rows for l = 1/2 in the least squares sense over all but their n_0
-    smallest singular values (the same SVD when Kn <= 1/2), so its
-    coefficients stay of the order of the heating; in y/Kn they would
-    grow as Kn^3 and cancel against the polynomial modes, leaving
-    round-off that grows as Kn^2.  Both are sampled in 2 y.  The
+    most J = n_0 + 2, as have the n_0 polynomial modes.  Both lie in the
+    complement of the exponential modes, where the pencil splits off as a
+    d x d block, d = m - n_exp (_deflation), so their block-bidiagonal
+    coefficient rows are (J+1) d, not (J+1) m, in size
+    (_polynomial_part).  Both are sampled in 2 y.  The
     2 n_o mode amplitudes solve the boundary rows at both walls plus the
     nodal gauge sum_i rho(y_i) = 0 of solve_steady in the least squares
     sense.
@@ -447,7 +512,7 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
         sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
     bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
     bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
-    m, n_o, kn = sys.size, sys.n_o, cfg.kn
+    n_o, kn = sys.n_o, cfg.kn
     A, P, bs = sys.A["y"], sys.P_bgk, sys.basis
 
     start = time.perf_counter()
@@ -457,35 +522,11 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
                            f"{kappa.size} exponential modes, not 2 n_o = {2 * n_o}")
     heat = source_vector(bs, cfg.source_amplitude, 1.0)
     g = np.linalg.solve(W.T @ A @ V, W.T @ heat)
-    J, ell = n_poly + 2, max(kn, 0.5)
-
-    def rows(l):
-        """Polynomial rows (j+1) A c_{j+1} + (l/Kn) P c_j in y/l."""
-        return (np.kron(np.eye(J + 1), l / kn * P)
-                + np.kron(np.diag(np.arange(1.0, J + 1), 1), A))
-
-    U, s, Vh = np.linalg.svd(rows(ell))
-    r = s.size - n_poly
-    # from coefficients in y/l to coefficients in 2 y
-    c_modes = (Vh[r:].reshape(n_poly, J + 1, m)
-               * ((0.5 / ell) ** np.arange(J + 1))[:, None])
-    rest = np.zeros((J + 1) * m)
-    rest[2 * m:3 * m] = (heat - A @ V @ g) / 8.0
-    if ell != 0.5:
-        U, s, Vh = np.linalg.svd(rows(0.5))
-    c_part = Vh[:r].T @ ((U[:, :r].T @ rest) / s[:r])
-    # the rows have a solution only if the rest misses their left null space;
-    # the pencil is regular here, so a miss is round-off, which grows with Kn
-    miss = np.linalg.norm(U[:, r:].T @ rest) / np.linalg.norm(rest)
-    if miss > 1e-8:
-        raise RuntimeError(
-            f"modal solve found no polynomial particular part for the heating: "
-            f"round-off at Kn = {kn:.3g} puts {miss:.1e} of it along the left "
-            f"null space of the polynomial rows")
-    c_part = c_part.reshape(J + 1, m)
+    c_modes, c_part = _polynomial_part(A, P, kn, n_poly, W, V, heat - A @ V @ g)
     operator_s = time.perf_counter() - start
 
     y = cfg.grid()
+    J = len(c_part) - 1
     powers = (2.0 * y)[:, None] ** np.arange(J + 1)
     y_wall = np.where(kappa > 0, y[-1], y[0])
     h = y[:, None] - y_wall

@@ -11,8 +11,9 @@ from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (SOURCE_AMPLITUDE, WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
-                              _march_operator, _operator_terms, _pencil_modes,
-                              _phi, _steady_operator, extract_fields,
+                              _deflation, _march_operator, _operator_terms,
+                              _pencil_modes, _phi, _polynomial_part,
+                              _steady_operator, extract_fields,
                               reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
 from momentbc.system import characteristic_decomposition, grad_theory
@@ -289,6 +290,53 @@ def test_pencil_modes_match_qz(degree, reduction, n_poly):
     assert np.abs(W.T @ P + kappa[:, None] * (W.T @ A)).max() <= tol
 
 
+def unreduced_rows(A, P, kn, J, l):
+    """The (J+1) m polynomial rows (j+1) A c_{j+1} + (l/Kn) P c_j in y/l."""
+    return (np.kron(np.eye(J + 1), l / kn * P)
+            + np.kron(np.diag(np.arange(1.0, J + 1), 1), A))
+
+
+@pytest.mark.parametrize("kn", [1e-3, 0.3, 1e3])
+@pytest.mark.parametrize("reduction", ["planar", "full3d"])
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_deflated_polynomial_part_solves_unreduced_rows(degree, reduction, kn):
+    # the deflated (J+1) d rows checked against the unreduced (J+1) m rows
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    A, P, m = sys_.A["y"], sys_.P_bgk, sys_.size
+    n_poly, kappa, W, V = _pencil_modes(sys_)
+    Y, Z = _deflation(A, W, V)
+    d = m - kappa.size
+    for B in (Y, Z):
+        assert B.shape == (m, d)
+        assert np.abs(B.T @ B - np.eye(d)).max() < 1e-13
+    tol = 1e-13 * np.abs(A).max()
+    for M in (A, P):
+        assert np.abs(Z.T @ M @ V).max() <= tol
+        assert np.abs(W.T @ M @ Y).max() <= tol
+
+    heat = source_vector(sys_.basis, SOURCE_AMPLITUDE, 1.0)
+    rest = heat - A @ V @ np.linalg.solve(W.T @ A @ V, W.T @ heat)
+    c_modes, c_part = _polynomial_part(A, P, kn, n_poly, W, V, rest)
+    J, ell = n_poly + 2, max(kn, 0.5)
+
+    def norm_rows(l):
+        # bounds the 2-norm of the rows from above, within a factor of two
+        return l / kn * np.linalg.norm(P, 2) + J * np.linalg.norm(A, 2)
+
+    # the modes in y/ell: an orthonormal basis of the null space of its rows
+    u = (c_modes / ((0.5 / ell) ** np.arange(J + 1))[:, None]).reshape(n_poly, -1)
+    assert np.abs(u @ u.T - np.eye(n_poly)).max() < 1e-13
+    R = unreduced_rows(A, P, kn, J, ell)
+    assert np.linalg.norm(R @ u.T) <= 1e-12 * norm_rows(ell)
+    # the particular part in 2 y, by its backward error
+    R = unreduced_rows(A, P, kn, J, 0.5)
+    rhs = np.zeros((J + 1) * m)
+    rhs[2 * m:3 * m] = rest / 8.0
+    c = c_part.ravel()
+    assert (np.linalg.norm(R @ c - rhs)
+            <= 1e-12 * (norm_rows(0.5) * np.linalg.norm(c) + np.linalg.norm(rhs)))
+
+
 @pytest.mark.parametrize("kn", [1e-3, 0.3, 1e3])
 @pytest.mark.parametrize("degree", [6, 7])
 def test_modal_full3d(degree, kn):
@@ -299,6 +347,27 @@ def test_modal_full3d(degree, kn):
     assert d["residual"] < 1e-11
     assert d["amplitude_cond"] < 1e2
     assert d["modes"]["polynomial"] == 8
+
+
+@pytest.mark.parametrize("degree, kn", [(4, 3e4), (6, 1e5)])
+def test_modal_full3d_even_degree_near_free_flow(degree, kn):
+    # even-degree solutions grow as Kn here, and their round-off with them
+    cfg = make_config(theory=grad_theory(degree, "full3d"), kn=kn, n_grid=128)
+    assert solve_modal(cfg).diagnostics["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("kn", [1e-3, 0.3, 1e3])
+@pytest.mark.parametrize("degree", [3, 5, 7])
+def test_modal_heat_flux_is_integrated_heating(degree, kn):
+    # energy balance: q_y' = a y^2 and q_y(0) = 0, so q_y = a y^3 / 3
+    sol = solve_modal(make_config(degree=degree, kn=kn, n_grid=129))
+    assert np.abs(sol.fields["q_y"] - SOURCE_AMPLITUDE * sol.y ** 3 / 3).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kn", [1e-3, 0.3, 1e3])
+def test_collocation_heat_flux_is_integrated_heating(kn):
+    sol = solve_steady(make_config(kn=kn, n_grid=129))
+    assert np.abs(sol.fields["q_y"] - SOURCE_AMPLITUDE * sol.y ** 3 / 3).max() <= 1e-4
 
 
 def test_modal_regular_pencil_roundoff_is_not_a_missing_moment():

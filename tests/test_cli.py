@@ -404,9 +404,20 @@ def test_installed_script_runs():
 
 def test_import_loads_no_scipy():
     # scipy is loaded by the collocation solve only, not by the import
+    # nor by the modal reference solves
+    scipy_modules = "sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')"
     code = ("import sys\n"
             "import momentbc, momentbc.cli\n"
-            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+            f"print({scipy_modules})\n")
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    code = ("import contextlib, io, sys\n"
+            "from momentbc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['solve-channel', '--theory', 'G20', '--grid', '64',\n"
+            "               '--reference', 'G35,G56'])\n"
+            f"print(rc, {scipy_modules})\n")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
