@@ -12,6 +12,12 @@ polynomials as (count, D+1, D+1, D+1) arrays, D being its top degree.
 Every Gaussian integral is one array product: each stack is cut to the
 monomials it uses, and the moment table between those exponents sits in
 the middle, G = C_p @ W @ C_q^T (see `_gram`).
+
+A theory keeps one stack, the independent basis polynomials.  The
+distribution reconstructed from a state sums the basis polynomials of
+all 3^n ordered index tuples; since a dependent component's polynomial
+is the trace expansion of the independent ones, that sum is the integer
+weight matrix E^T diag(w) E = 2S (`_expansion_weights`) times the stack.
 """
 
 from __future__ import annotations
@@ -165,18 +171,6 @@ def basis_polynomial(n: int, s: int, component) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reconstructions(n: int, s: int, reduction: str) -> np.ndarray:
-    """Polynomials (w E)^T P of the full trace-free expansion behind each
-    independent rank-n component at radial index s, with P the basis
-    polynomials of the kept multisets."""
-    kept, E, w = _expansion(n, reduction)
-    P = np.array([basis_polynomial(n, s, m) for m in kept])
-    R = ((w[:, None] * E).T @ P.reshape(len(kept), -1)).reshape((-1,) + P.shape[1:])
-    R.flags.writeable = False
-    return R
-
-
 @dataclass(frozen=True)
 class BasisFunction:
     """One moment basis function: radial factor times tensor component."""
@@ -200,18 +194,15 @@ class BasisSet:
     """Ordered moment basis of one theory, split odd-first for a wall normal.
 
     entries holds the independent basis functions and polys their
-    coefficient arrays; expanded[i] is the polynomial of the full
-    trace-free expansion behind entry i (the sum of all 3^n ordered-tuple
-    basis polynomials weighted by the expansion coefficients), which is
-    what appears when a distribution is reconstructed from its moments.
-    Both stacks have shape (size, D+1, D+1, D+1).
+    coefficient arrays, one (size, D+1, D+1, D+1) stack.  The polynomial
+    a distribution is reconstructed with is not stored: it is 2S times
+    this stack (see _expansion_weights).
     """
 
     theory: object
     normal_axis: str
     entries: tuple
     polys: np.ndarray
-    expanded: np.ndarray
     n_o: int
     n_e: int
 
@@ -263,10 +254,21 @@ def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
     degree = max(bf.degree for bf in entries)
     polys = _stack([basis_polynomial(bf.rank, bf.radial, bf.component)
                     for bf in entries], degree)
-    expanded = _stack([_reconstructions(bf.rank, bf.radial, theory.reduction)[ci]
-                       for (*_, ci), bf in items], degree)
     return BasisSet(theory=theory, normal_axis=normal_axis, entries=entries,
-                    polys=polys, expanded=expanded, n_o=n_o, n_e=len(entries) - n_o)
+                    polys=polys, n_o=n_o, n_e=len(entries) - n_o)
+
+
+def _expansion_weights(bs: BasisSet) -> np.ndarray:
+    """Exact integer weights E^T diag(w) E = 2S of the trace-free
+    expansion, one block per (rank, radial) pair; times bs.polys they
+    give the reconstruction behind every moment."""
+    W = np.zeros((bs.size, bs.size))
+    for (n, s), cols in bs.blocks().items():
+        _, E, w = _expansion(n, bs.theory.reduction)
+        indep = independent_components(n, bs.theory.reduction)
+        E = E[:, [indep.index(bs.entries[i].component) for i in cols]]
+        W[np.ix_(cols, cols)] = (E.T * w) @ E
+    return W
 
 
 @dataclass(frozen=True)
@@ -280,8 +282,9 @@ class OrthogonalityReport:
 
 
 def verify_orthogonality(bs: BasisSet) -> OrthogonalityReport:
-    """Check the reconstruction identity: testing the expanded distribution
-    behind moment b with basis function a recovers the identity matrix."""
-    gram = _gram(bs.polys, bs.expanded)
+    """Check the reconstruction identity: testing the reconstruction
+    behind moment b with basis function a, <polys, polys> 2S, recovers
+    the identity matrix."""
+    gram = _gram(bs.polys, bs.polys) @ _expansion_weights(bs)
     return OrthogonalityReport(matrix=gram,
                                max_deviation=float(np.abs(gram - np.eye(bs.size)).max()))

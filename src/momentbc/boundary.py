@@ -62,10 +62,11 @@ def assemble_mbc(sys: MomentSystem):
     if odd[0].rank != 1 or odd[0].radial != 0:
         raise ValueError("first odd moment must be the normal velocity")
 
-    # half-space moments of the even reconstruction against odd tests, and
-    # of the wall Maxwellian's density column (the unit polynomial)
+    # half-space moments of the even reconstruction 2S polys against odd
+    # tests, and of the wall Maxwellian's density column (the unit
+    # polynomial); S keeps the parities apart, so its even block suffices
     unit = np.ones((1, 1, 1, 1))
-    H = _gram(bs.polys[:n_o], bs.expanded[n_o:], half=axis)
+    H = _gram(bs.polys[:n_o], bs.polys[n_o:], half=axis) @ (2.0 * sys.S[n_o:, n_o:])
     w0 = _gram(bs.polys[:n_o], unit, half=axis)[:, 0]
     if abs(w0[0]) < 1e-14:
         raise ValueError("degenerate no-penetration moment")
@@ -96,24 +97,16 @@ def wall_inhomogeneity(g_columns: dict, wall: WallData) -> np.ndarray:
 class BoundaryOperator:
     """Boundary rows B alpha = rhs(wall) for one wall.
 
-    kind is 'mbc' or 'obc'; sign is the orientation of the outward normal
-    along the basis normal axis.  M_mbc and g_columns are stored in the
-    oriented frame, so B = [I | -2 beta M_mbc] holds for the accommodation
-    kind at either orientation and rhs = 2 beta g.  For the Onsager kind L
-    is the symmetric response and B = [I | -sign L Aoe].
+    kind is 'mbc' or 'obc'.  g_columns are stored in the frame of the
+    wall's outward normal, so rhs = 2 beta g at either orientation.
     """
 
     kind: str
-    chi: float
     beta: float
-    sign: int
-    normal_axis: str
     n_o: int
     n_e: int
     B: np.ndarray
-    M_mbc: np.ndarray
     g_columns: dict
-    L: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -173,18 +166,13 @@ def make_boundary_operator(sys: MomentSystem, kind: str = "obc",
         raise ValueError("sign must be +1 or -1")
     beta = accommodation_gain(chi)
     M_plus, g_plus = assemble_mbc(sys)
-    M = sign * M_plus
     g_columns = {k: sign * v for k, v in g_plus.items()}
-    n_o, n_e = sys.n_o, sys.n_e
     diagnostics = {}
-    L = None
     if kind == "mbc":
-        theta = 2.0 * beta * M
+        theta = sign * 2.0 * beta * M_plus
     else:
         L, diagnostics = assemble_obc(sys, M_plus, chi)
         theta = sign * (L @ sys.flux_odd_even())
-    B = np.hstack([np.eye(n_o), -theta])
-    return BoundaryOperator(kind=kind, chi=chi, beta=beta, sign=sign,
-                            normal_axis=sys.normal_axis, n_o=n_o, n_e=n_e,
-                            B=B, M_mbc=M, g_columns=g_columns, L=L,
-                            diagnostics=diagnostics)
+    B = np.hstack([np.eye(sys.n_o), -theta])
+    return BoundaryOperator(kind=kind, beta=beta, n_o=sys.n_o, n_e=sys.n_e, B=B,
+                            g_columns=g_columns, diagnostics=diagnostics)

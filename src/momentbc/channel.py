@@ -266,6 +266,15 @@ def _steady_diagnostics(cfg, fields, residual, operator_s, solve_s) -> dict:
     return diagnostics
 
 
+def _channel_system(cfg: ChannelConfig, sys: MomentSystem = None):
+    """The y-normal system (assembled when none is given) with the
+    operators of its upper and lower walls."""
+    if sys is None:
+        sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
+    return (sys, make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1),
+            make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1))
+
+
 def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution:
     """Steady channel solve on cfg.n_grid collocation nodes.
 
@@ -278,10 +287,7 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
     diagnostics["timings"] holds operator_s (operator and border) and
     solve_s (the sparse solve).
     """
-    if sys is None:
-        sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
-    bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
-    bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
+    sys, bc_upper, bc_lower = _channel_system(cfg, sys)
 
     m = sys.size
     n_o = sys.n_o
@@ -508,10 +514,7 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     amplitude_cond is the condition number of the amplitude rows and
     modes counts both kinds.
     """
-    if sys is None:
-        sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
-    bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
-    bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
+    sys, bc_upper, bc_lower = _channel_system(cfg, sys)
     n_o, kn = sys.n_o, cfg.kn
     A, P, bs = sys.A["y"], sys.P_bgk, sys.basis
 
@@ -696,10 +699,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     if not (0 < cfl < math.inf and 0 < t_final < math.inf):
         raise ValueError(f"cfl and t_final must be finite and positive "
                          f"(got cfl={cfl}, t_final={t_final})")
-    if sys is None:
-        sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",))
-    bc_upper = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=+1)
-    bc_lower = make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1)
+    sys, bc_upper, bc_lower = _channel_system(cfg, sys)
     dec = characteristic_decomposition(sys)
     W, edges, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
 

@@ -17,11 +17,12 @@ subcommand has no option for is a usage error.
 
 Exit codes: 0 success; 1 usage or configuration error, which includes an
 unknown option or config key, a missing --theory, a malformed --m or
---scan-chi, an unknown theory, kn, cfl or t_final not finite and
-positive, grid < 16, chi outside (0, 1] and a negative seed; 2 numerical
-verification failure.  Reports are JSON on stdout and embed the library
-version and, as "config", the subcommand's resolved options: what ran.
-Output paths resolve against MOMENTBC_OUTDIR when set.
+--scan-chi, --m with a named theory, --bc with --scan-chi, an unknown
+theory, kn, cfl or t_final not finite and positive, grid < 16, chi
+outside (0, 1] and a negative seed; 2 numerical verification failure.
+Reports are JSON on stdout and embed the library version and, as
+"config", the subcommand's resolved options: what ran.  Output paths
+resolve against MOMENTBC_OUTDIR when set.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ def build_parser() -> _Parser:
     p = command("check-stability", "boundary admissibility report")
     normal_axis(p)
     chi(p)
-    p.add_argument("--bc", choices=("mbc", "obc"), help="one kind (default both)")
-    p.add_argument("--scan-chi", help="a:b:n accommodation sweep (inclusive endpoints)")
+    one = p.add_mutually_exclusive_group()  # a sweep reports both kinds
+    one.add_argument("--bc", choices=("mbc", "obc"), help="one kind (default both)")
+    one.add_argument("--scan-chi",
+                     help="a:b:n accommodation sweep (inclusive endpoints)")
 
     p = command("solve-channel", "steady heated-channel solve")
     channel(p)
@@ -192,6 +195,8 @@ def _usage_errors():
 
 def resolve_theory(args: argparse.Namespace) -> MomentTheory:
     if args.theory.lower() != "custom":
+        if args.m:
+            raise UsageError("--m applies only to --theory custom")
         with _usage_errors():
             return theory_from_name(args.theory, args.reduction)
     if not args.m:

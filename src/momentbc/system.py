@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import (FULL3D, PLANAR, REDUCTIONS, _expansion,
-                     independent_components)
-from .basis import BasisSet, _gram, _stack, basis_polynomial, build_basis_set
+from .tensor import FULL3D, PLANAR, REDUCTIONS, _expansion
+from .basis import (BasisSet, _expansion_weights, _gram, _stack,
+                    basis_polynomial, build_basis_set)
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,13 @@ def assemble_symmetrizer(bs: BasisSet) -> np.ndarray:
     1/2 E^T diag(w) E per (rank, radial) pair, with w the multiplicities.
     Entries are exact half-integers.
     """
-    S = np.zeros((bs.size, bs.size))
-    reduction = bs.theory.reduction
-    for (n, s), cols in bs.blocks().items():
-        _, E, w = _expansion(n, reduction)
-        indep = independent_components(n, reduction)
-        E = E[:, [indep.index(bs.entries[i].component) for i in cols]]
-        S[np.ix_(cols, cols)] = 0.5 * ((E.T * w) @ E)
-    return S
+    return 0.5 * _expansion_weights(bs)
 
 
 def assemble_flux(bs: BasisSet, axis: str = "x") -> np.ndarray:
-    """Flux matrix A^(axis): moments of xi_axis times the reconstruction."""
-    return _gram(bs.polys, bs.expanded, axis=axis)
+    """Flux matrix A^(axis): moments of xi_axis times the reconstruction
+    2S polys, taken as <polys, xi_axis polys> 2S."""
+    return _gram(bs.polys, bs.polys, axis=axis) @ _expansion_weights(bs)
 
 
 def bgk_projector(bs: BasisSet) -> np.ndarray:

@@ -7,11 +7,12 @@ import pytest
 from numpy.polynomial.polynomial import polyval3d
 from scipy import integrate
 
-from momentbc.basis import (_full_moment, _gram, _half_moment,
+from momentbc.basis import (_full_moment, _gram, _half_moment, _stack,
                             basis_polynomial, build_basis_set,
                             harmonic_tensor, laguerre_coefficients,
                             verify_orthogonality)
-from momentbc.system import assemble_flux, grad_theory
+from momentbc.system import assemble_flux, assemble_symmetrizer, grad_theory
+from momentbc.tensor import _expansion, independent_components
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -284,7 +285,8 @@ def test_declared_parity_matches_numeric_sign_flip():
 
 
 @pytest.mark.parametrize("degree,reduction", [
-    (2, "planar"), (3, "planar"), (3, "full3d"), (5, "planar")])
+    (2, "planar"), (3, "planar"), (3, "full3d"), (5, "planar"),
+    (8, "planar"), (10, "planar"), (7, "full3d"), (10, "full3d")])
 def test_reconstruction_identity(degree, reduction):
     bs = build_basis_set(grad_theory(degree, reduction), "x")
     rep = verify_orthogonality(bs)
@@ -293,12 +295,38 @@ def test_reconstruction_identity(degree, reduction):
     assert rep.matrix.shape == (bs.size, bs.size)
 
 
+def multiset_reconstruction(bs):
+    """Oracle: the reconstruction behind each moment summed over every
+    kept multiset, (w E)^T [basis_polynomial(n, s, m) for m in kept]."""
+    out = np.zeros_like(bs.polys)
+    reduction = bs.theory.reduction
+    for (n, s), cols in bs.blocks().items():
+        kept, E, w = _expansion(n, reduction)
+        P = _stack([basis_polynomial(n, s, m) for m in kept], bs.polys.shape[1] - 1)
+        R = np.tensordot((w[:, None] * E).T, P, axes=1)
+        indep = independent_components(n, reduction)
+        for i in cols:
+            out[i] = R[indep.index(bs.entries[i].component)]
+    return out
+
+
+@pytest.mark.parametrize("normal", ["x", "y"])
+@pytest.mark.parametrize("degree,reduction",
+                         [(d, "planar") for d in range(2, 11)]
+                         + [(d, "full3d") for d in range(2, 9)])
+def test_reconstruction_is_twice_symmetrizer_times_basis(degree, reduction, normal):
+    bs = build_basis_set(grad_theory(degree, reduction), normal)
+    ref = multiset_reconstruction(bs)
+    R = np.tensordot(2.0 * assemble_symmetrizer(bs), bs.polys, axes=1)
+    assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_macroscopic_moments_of_reconstruction():
     """Low-order moments of the reconstructed distribution recover the state."""
     bs = build_basis_set(grad_theory(3, "planar"), "x")
     rng = np.random.default_rng(11)
     alpha = rng.standard_normal(bs.size)
-    f = np.tensordot(alpha, bs.expanded, axes=1)
+    f = np.tensordot(alpha @ (2.0 * assemble_symmetrizer(bs)), bs.polys, axes=1)
     assert np.isclose(inner(ONE, f), alpha[bs.index_of(0, 0, ())], atol=1e-12)
     assert np.isclose(inner(mono(1, 0, 0), f),
                       alpha[bs.index_of(1, 0, ("x",))], atol=1e-12)

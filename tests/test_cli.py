@@ -98,6 +98,8 @@ def test_assemble_dump_to_stdout(capsys):
     ("assemble", "--theory", "custom", "--m", "0,1"),
     ("check-stability", "--theory", "G20", "--scan-chi", "0.5:1.0"),
     ("check-stability", "--theory", "G20", "--scan-chi", "0.5:1.0:0"),
+    ("assemble", "--theory", "G20", "--m", "9,9"),
+    ("check-stability", "--theory", "G20", "--bc", "mbc", "--scan-chi", "0.5:1.0:3"),
     ("solve-channel", "--theory", "G20", "--kn", "-1"),
     ("solve-channel", "--theory", "G20", "--kn", "0"),
     ("solve-channel", "--theory", "G20", "--kn", "inf"),
