@@ -21,15 +21,18 @@ grid operators are terms of a node stencil, given as a weight table, times
 an m x m moment block, and both are block-Toeplitz: nodes 2..N-3 share one
 block row, and only the rows of nodes 0, 1, N-2 and N-1 differ.  Those
 five block rows are summed straight from the tables.  The steady solve
-lays them out as a sparse matrix for the factorization; the marcher
-applies the shared row as one GEMM with a strided window of the state,
-plus the four wall-side rows.
+lays them out as a sparse matrix for the factorization.  The system is
+linear and time-invariant, so the marcher folds the three stages into one
+step operator, a cubic in the march operator with block rows over node
+offsets -6..+6; each step applies its shared row as one GEMM with a
+strided window of the state, plus one dot per wall.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -616,6 +619,7 @@ class MarchResult:
     dt: float
     blowup: bool
     march_s: float             # wall time of the step loop
+    operator_s: float          # wall time to build the step operator
 
     @property
     def max_energy_growth(self) -> float:
@@ -628,20 +632,16 @@ def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
     """March operator M and source b, in block-row form: (W, edges, b).
 
     W is the (5m, m) transpose of the block row that nodes 2..N-3 share
-    over node offsets -2..+2.  edges holds (node, lo, hi, E) for nodes 0,
-    1, N-2 and N-1: E is the node's block row over column nodes lo..hi-1,
-    the span of its nonzero blocks.
+    over node offsets -2..+2.  edges is (E_lo, E_hi): the (2m, 4m) block
+    rows of nodes 0, 1 over column nodes 0..3 and of nodes N-2, N-1 over
+    column nodes N-4..N-1.
     """
     m, n_o, N = sys.size, sys.n_o, cfg.n_grid
     rows = _block_rows(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[1], m)
     W = np.concatenate(rows[2], axis=1).T.copy()
-    edges = []
-    for r, node in zip((0, 1, 3, 4), (0, 1, N - 2, N - 1)):
-        used = np.flatnonzero(rows[r].any(axis=(1, 2)))
-        lo, hi = used[0], used[-1] + 1
-        start = _window_start(node, N)
-        edges.append((node, start + lo, start + hi,
-                      np.concatenate(rows[r, lo:hi], axis=1)))
+    # nodes 0 and 1 (N-2 and N-1) leave their window's last (first) block zero
+    edges = (rows[0:2, :4].transpose(0, 2, 1, 3).reshape(2 * m, 4 * m),
+             rows[3:5, 1:].transpose(0, 2, 1, 3).reshape(2 * m, 4 * m))
 
     F = source_vector(sys.basis, cfg.source_amplitude, cfg.grid())
     b = F.ravel().copy()
@@ -651,25 +651,66 @@ def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
 
 
 def _block_toeplitz_apply(W, edges, N: int):
-    """u -> M u from the block-row form of _march_operator.
+    """u -> D u for an operator D in block-row form.
 
-    Node rows 2..N-3 are one GEMM of W with the zero-copy (N-4, 5m) window
-    of the state whose row k holds nodes k..k+4; each edge row is one dot
-    with the state over its column span.  Returns apply(u, out), which
-    writes M u into out.
+    W is the (w m, m) transpose of the block row that nodes k..N-1-k share
+    over node offsets -k..+k, w = 2k + 1 = W.shape[0] // m; edges is
+    (E_lo, E_hi), the (k m, 2k m) block rows of the k nodes nearest each
+    wall over the 2k column nodes nearest it.  Node rows k..N-1-k are one
+    GEMM of W with the zero-copy (N-2k, w m) window of the state whose row
+    i holds nodes i..i+2k; each wall is one dot with the state over its
+    column span.  Returns apply(u, out), which writes D u into out.
     """
     m = W.shape[1]
+    w = W.shape[0] // m
+    k = w // 2
+    E_lo, E_hi = edges
 
     def apply(u, out):
-        window = np.ndarray((N - 4, 5 * m), buffer=u,
+        window = np.ndarray((N - 2 * k, w * m), buffer=u,
                             strides=(m * u.itemsize, u.itemsize))
-        O = out.reshape(N, m)
-        np.matmul(window, W, out=O[2:N - 2])
-        for node, lo, hi, E in edges:
-            np.dot(E, u[lo * m:hi * m], out=O[node])
+        np.matmul(window, W, out=out.reshape(N, m)[k:N - k])
+        np.dot(E_lo, u[:2 * k * m], out=out[:k * m])
+        np.dot(E_hi, u[(N - 2 * k) * m:], out=out[(N - k) * m:])
         return out
 
     return apply
+
+
+def _step_operator(W, edges, b, dt: float, N: int):
+    """One SSP-RK3 step of d u/dt = M u + b as u -> R u + r, block-row form.
+
+    For a linear, time-invariant system the three stages are exactly
+    R = I + dt M + (dt M)^2 / 2 + (dt M)^3 / 6 and
+    r = dt (I + dt M / 2 + (dt M)^2 / 6) b.  M (W, edges) spans node
+    offsets -2..+2, so R spans -6..+6: nodes 6..N-7 share one block row,
+    and the rows of the six nodes nearest each wall reach the twelve
+    nearest it.  All of them are fixed by M on a 13-node grid, which is
+    laid out densely, raised to R by Horner's rule and cut into the
+    (13m, m) row and the (6m, 12m) edges.  Returns (WR, edges_R, r).
+    """
+    m = W.shape[1]
+    n = 13
+    Z = np.zeros((n * m, n * m))
+    for i in range(2, n - 2):
+        Z[i * m:(i + 1) * m, (i - 2) * m:(i + 3) * m] = W.T
+    Z[:2 * m, :4 * m], Z[-2 * m:, -4 * m:] = edges
+    Z *= dt
+    R = Z / 3.0
+    R.flat[::n * m + 1] += 1.0
+    T = Z @ R
+    T *= 0.5
+    T.flat[::n * m + 1] += 1.0
+    np.matmul(Z, T, out=R)
+    R.flat[::n * m + 1] += 1.0
+    WR = R[6 * m:7 * m].T.copy()
+    edges_R = (R[:6 * m, :12 * m].copy(), R[7 * m:, m:].copy())
+
+    apply_M = _block_toeplitz_apply(W, edges, N)
+    Mb = apply_M(b, np.empty_like(b))
+    M2b = apply_M(Mb, np.empty_like(b))
+    r = dt * (b + dt / 2.0 * (Mb + dt / 3.0 * M2b))
+    return WR, edges_R, r
 
 
 def _apply_wall_state(alpha, bc_upper, bc_lower, wall, n_o):
@@ -681,6 +722,8 @@ def _apply_wall_state(alpha, bc_upper, bc_lower, wall, n_o):
 
 # the march stops as blown up once the energy exceeds this multiple of its scale
 _BLOWUP_FACTOR = 1e6
+# recorded states kept per energy evaluation
+_BATCH = 8
 
 
 def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
@@ -690,18 +733,26 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
 
     init is 'zero', 'random' (seeded nodal noise) or an (N, m) array; wall
     odd moments are made consistent with the boundary relation before the
-    march.  The energy is E(t) = dy * sum_nodes alpha^T S alpha, computed
-    as one (N, m) x (m, m) product and a dot.  Each SSP-RK3 stage applies
-    the block rows of _march_operator through _block_toeplitz_apply, in
-    buffers allocated once per march; march_s on the result is the wall
-    time of the step loop.  cfl and t_final must be finite and positive.
+    march.  Every step applies one folded SSP-RK3 step operator,
+    u -> R u + r (_step_operator), through _block_toeplitz_apply; r is
+    skipped when the data b are zero.  The energy E(t) = dy * sum_nodes
+    alpha^T S alpha is recorded every record_every steps and at the last
+    one, for up to _BATCH recorded states at a time: they are marched into
+    the rows of one buffer, then weighed by one product with S and one
+    contraction.  The march stops as blown up at the first recorded state
+    whose energy is not finite or exceeds _BLOWUP_FACTOR times its scale;
+    the trace ends there and alpha is that state.  operator_s on the
+    result is the wall time to build R and r, march_s that of the step
+    loop.  cfl and t_final must be finite and positive, record_every a
+    positive integer.
     """
     if not (0 < cfl < math.inf and 0 < t_final < math.inf):
         raise ValueError(f"cfl and t_final must be finite and positive "
                          f"(got cfl={cfl}, t_final={t_final})")
+    if not (isinstance(record_every, numbers.Integral) and record_every > 0):
+        raise ValueError(f"record_every must be a positive integer (got {record_every!r})")
     sys, bc_upper, bc_lower = _channel_system(cfg, sys)
     dec = characteristic_decomposition(sys)
-    W, edges, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
 
     m = sys.size
     N = cfg.n_grid
@@ -724,49 +775,58 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / steps
 
-    S = sys.S
-    apply_M = _block_toeplitz_apply(W, edges, N)
-    u = alpha.ravel()
-    u1, u2, tmp = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    aS = np.empty((N, m))
-
-    def energy(u):
-        a = u.reshape(N, m)
-        return h * float(np.vdot(np.matmul(a, S, out=aS), a))
-
-    def stage(v, out):
-        """out = v + dt (M v + b)"""
-        apply_M(v, out)
-        out += b
-        out *= dt
-        out += v
-        return out
-
-    times = [0.0]
-    energies = [energy(u)]
-    e_scale = max(energies[0], float(np.abs(b).max()) ** 2, 1.0)
-    blowup = False
     start = time.perf_counter()
-    for k in range(steps):
-        stage(u, u1)
-        stage(u1, u2)
-        u2 *= 0.25
-        u2 += np.multiply(u, 0.75, out=tmp)
-        stage(u2, u1)
-        u1 *= 2.0 / 3.0
-        u /= 3.0
-        u += u1
-        if (k + 1) % record_every == 0 or k == steps - 1:
-            e = energy(u)
-            times.append((k + 1) * dt)
-            energies.append(e)
-            if not np.isfinite(e) or e > _BLOWUP_FACTOR * e_scale:
+    W, edges, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
+    WR, edges_R, r = _step_operator(W, edges, b, dt, N)
+    apply_R = _block_toeplitz_apply(WR, edges_R, N)
+    driven = bool(np.any(r))
+    operator_s = time.perf_counter() - start
+
+    S = sys.S
+    # recorded step numbers
+    marks = np.arange(record_every, steps + record_every, record_every)
+    marks[-1] = steps
+    times = np.r_[0.0, marks * dt]
+    energy = np.empty_like(times)
+    U = np.empty((_BATCH + 1, N * m))
+    U[0] = alpha.ravel()
+    tmp = np.empty(N * m)
+    aS = np.empty((_BATCH, N, m))
+    energy[0] = h * float(np.vdot(U[0].reshape(N, m) @ S, U[0]))
+    limit = _BLOWUP_FACTOR * max(energy[0], float(np.abs(b).max()) ** 2, 1.0)
+    blowup = False
+    recorded, done = 0, 0
+    start = time.perf_counter()
+    # the states a batch marches past a blow-up may overflow; none is kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        while recorded < marks.size:
+            batch = min(_BATCH, marks.size - recorded)
+            for j in range(batch):
+                src = U[j]
+                count = min(record_every, steps - done)
+                # the last of the count steps lands in U[j + 1]
+                for left in range(count, 0, -1):
+                    dst = U[j + 1] if left % 2 else tmp
+                    apply_R(src, dst)
+                    if driven:
+                        dst += r
+                    src = dst
+                done += count
+            A = U[1:batch + 1].reshape(batch, N, m)
+            e = h * np.einsum("bij,bij->b", np.matmul(A, S, out=aS[:batch]), A)
+            energy[recorded + 1:recorded + batch + 1] = e
+            tripped = np.flatnonzero(~(e <= limit))
+            if tripped.size:
+                recorded += tripped[0] + 1
+                U[0] = U[tripped[0] + 1]
                 blowup = True
                 break
+            recorded += batch
+            U[0] = U[batch]
     march_s = time.perf_counter() - start
 
-    alpha = u.reshape(N, m)
-    return MarchResult(config=cfg, y=y, times=np.array(times),
-                       energy=np.array(energies), alpha=alpha,
+    alpha = U[0].reshape(N, m).copy()
+    return MarchResult(config=cfg, y=y, times=times[:recorded + 1],
+                       energy=energy[:recorded + 1], alpha=alpha,
                        fields=extract_fields(sys.basis, alpha), dt=dt,
-                       blowup=blowup, march_s=march_s)
+                       blowup=blowup, march_s=march_s, operator_s=operator_s)

@@ -9,11 +9,12 @@ import scipy.sparse as sp
 
 from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
-from momentbc.channel import (SOURCE_AMPLITUDE, WALL_TEMP_COEFF, ChannelConfig,
+from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
+                              WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
                               _deflation, _march_operator, _operator_terms,
                               _pencil_modes, _phi, _polynomial_part,
-                              _steady_operator, extract_fields,
+                              _steady_operator, _step_operator, extract_fields,
                               reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
 from momentbc.system import characteristic_decomposition, grad_theory
@@ -446,6 +447,12 @@ def test_march_rejects_nonpositive_step_or_horizon(bad):
         time_march_energy(make_config(n_grid=32), **kw)
 
 
+@pytest.mark.parametrize("bad", [0, -7, 2.0])
+def test_march_rejects_bad_record_every(bad):
+    with pytest.raises(ValueError, match="record_every"):
+        time_march_energy(make_config(n_grid=32), t_final=0.1, record_every=bad)
+
+
 def test_march_detects_unstable_step():
     res = time_march_energy(make_config(n_grid=32), t_final=1.0, cfl=5.0,
                             init="random", seed=1)
@@ -479,19 +486,80 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def _csr_march(M, b, u, dt, steps, S, h):
-    """Plain SSP-RK3 march with CSR products: the oracle for the
-    block-Toeplitz march."""
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("n_grid", [16, 40])
+def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
+    # R u = (I + Z + Z^2/2 + Z^3/6) u and r = dt (I + Z/2 + Z^2/6) b, Z = dt M;
+    # at N = 16 the interior rows of R are nodes 6..9 only
+    sys_ = cached_system(degree, normal="y", axes=("y",))
+    cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
+    M, args = _march_oracle(cfg, sys_)
+    W, edges, b = _march_operator(*args)
+    h = cfg.grid()[1] - cfg.grid()[0]
+    dt = 0.4 * h / args[4].max_speed
+    WR, edges_R, r = _step_operator(W, edges, b, dt, n_grid)
+    assert WR.shape == (13 * sys_.size, sys_.size)
+    apply = _block_toeplitz_apply(WR, edges_R, n_grid)
+
+    def poly(v, coeffs):
+        out, z = coeffs[0] * v, v
+        for c in coeffs[1:]:
+            z = dt * (M @ z)
+            out = out + c * z
+        return out
+
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        u = rng.standard_normal(n_grid * sys_.size)
+        out = np.full_like(u, np.nan)
+        assert apply(u, out) is out
+        ref = poly(u, (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0))
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = dt * poly(b, (1.0, 1.0 / 2.0, 1.0 / 6.0))
+    assert np.abs(r - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _csr_march(M, b, u, dt, steps, S, h, record_every=1, limit=np.inf):
+    """Plain SSP-RK3 march with CSR products, one step at a time: the
+    oracle for the folded, batched march.  Records the energy at step 0,
+    every record_every steps and at the last, and stops at the first
+    recorded energy that is not finite or exceeds limit.  Returns the
+    recorded step numbers and energies and the state at the last of them."""
     N = u.size // S.shape[0]
-    energies = []
+    marks, energies = [], []
     for k in range(steps + 1):
         if k:
             u1 = u + dt * (M @ u + b)
             u2 = 0.75 * u + 0.25 * (u1 + dt * (M @ u1 + b))
             u = u / 3.0 + (2.0 / 3.0) * (u2 + dt * (M @ u2 + b))
-        a = u.reshape(N, -1)
-        energies.append(h * np.einsum("ij,jk,ik->", a, S, a))
-    return np.array(energies), u.reshape(N, -1)
+        if k % record_every == 0 or k == steps:
+            a = u.reshape(N, -1)
+            marks.append(k)
+            energies.append(h * np.einsum("ij,jk,ik->", a, S, a))
+            if not energies[-1] <= limit:
+                break
+    return np.array(marks), np.array(energies), u.reshape(N, -1)
+
+
+def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
+    """time_march_energy over a horizon of `steps` steps, and _csr_march
+    from the same initial state."""
+    M, args = _march_oracle(cfg, sys_)
+    b = _march_operator(*args)[2]
+    bc_upper, bc_lower, dec = args[2:]
+    N, m = cfg.n_grid, sys_.size
+    h = cfg.grid()[1] - cfg.grid()[0]
+    t_final = (steps - 0.5) * cfl * h / dec.max_speed
+    res = time_march_energy(cfg, t_final=t_final, cfl=cfl, init=init, seed=4,
+                            sys=sys_, record_every=record_every)
+    alpha0 = (np.zeros((N, m)) if init == "zero"
+              else np.random.default_rng(4).standard_normal((N, m)))
+    alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_data(), sys_.n_o)
+    limit = _BLOWUP_FACTOR * max(h * np.einsum("ij,jk,ik->", alpha0, sys_.S, alpha0),
+                                 np.abs(b).max() ** 2, 1.0)
+    return res, b, _csr_march(M, b, alpha0.ravel(), res.dt, steps, sys_.S, h,
+                              record_every, limit)
 
 
 @pytest.mark.parametrize("bc_kind, driven, init", [("mbc", True, "zero"),
@@ -500,24 +568,33 @@ def test_march_matches_csr_oracle(bc_kind, driven, init):
     sys_ = cached_system(3, normal="y", axes=("y",))
     kw = {} if driven else {"wall_temp": 0.0, "source_amplitude": 0.0}
     cfg = make_config(n_grid=48, bc_kind=bc_kind, **kw)
-    M, args = _march_oracle(cfg, sys_)
-    b = _march_operator(*args)[2]
-    bc_upper, bc_lower, dec = args[2:]
-    assert (np.abs(b).max() > 0) == driven
-    N, m = cfg.n_grid, sys_.size
-    h = cfg.grid()[1] - cfg.grid()[0]
     steps = 50
-    t_final = (steps - 0.5) * 0.4 * h / dec.max_speed
-    res = time_march_energy(cfg, t_final=t_final, cfl=0.4, init=init, seed=4,
-                            sys=sys_)
+    res, b, (_, energies, alpha) = _march_and_oracle(cfg, sys_, init, steps, 0.4)
+    assert (np.abs(b).max() > 0) == driven
     assert res.times.size == steps + 1 and not res.blowup
-    alpha0 = (np.zeros((N, m)) if init == "zero"
-              else np.random.default_rng(4).standard_normal((N, m)))
-    alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_data(), sys_.n_o)
-    energies, alpha = _csr_march(M, b, alpha0.ravel(), res.dt, steps, sys_.S, h)
     assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
     assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
     assert res.march_s > 0.0
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("cfl", [0.4, 5.0])
+def test_march_batches_match_per_step_oracle(record_every, cfl):
+    # 61 steps: the recorded states fill no whole number of batches, and
+    # the last recorded step is no multiple of 7; at cfl = 5 the march blows
+    # up within its first batch, and the trace and alpha must end at the
+    # step that tripped, not at the end of the batch
+    sys_ = cached_system(3, normal="y", axes=("y",))
+    cfg = make_config(n_grid=32, bc_kind="mbc")
+    steps = 61
+    res, _, (marks, energies, alpha) = _march_and_oracle(
+        cfg, sys_, "random", steps, cfl, record_every)
+    assert np.array_equal(res.times, marks * res.dt)
+    assert res.blowup == (cfl > 1.0) == (marks[-1] < steps)
+    if res.blowup:
+        assert marks.size - 1 < _BATCH
+    assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
+    assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
 
 
 def test_march_accepts_array_init():

@@ -1,4 +1,5 @@
 """End-to-end CLI coverage; everything in-process except one script check."""
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import momentbc
-from momentbc.cli import main
+from momentbc.cli import FLOAT_FMT, _write_trace_csv, main
 
 from conftest import cached_system
 
@@ -269,13 +270,29 @@ def test_energy_march_trace(capsys, tmp_path):
     assert rep["relative_growth"] <= 1e-6
     assert rep["energy_final"] < rep["energy_initial"]
     assert rep["config"]["homogeneous"] is True
-    for key in ("march_s", "step_us"):
+    for key in ("operator_s", "march_s", "step_us"):
         assert np.isfinite(rep["timings"][key]) and rep["timings"][key] > 0.0
     header, data = load_csv(trace)
     assert header == ["t", "energy"]
     assert data[0, 0] == 0.0
     assert data[-1, 0] == pytest.approx(0.5)
     assert np.all(np.diff(data[:, 1]) <= 1e-9)
+
+
+def test_trace_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(6)
+    times = np.linspace(0.0, 10.0, 300)
+    energy = np.r_[rng.standard_normal(295) * 10.0 ** rng.integers(-300, 300, 295),
+                   0.0, -0.0, np.inf, np.nan, 1e-310]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "energy"])
+        for t, e in zip(times, energy):
+            writer.writerow([FLOAT_FMT % t, FLOAT_FMT % e])
+    out = tmp_path / "out.csv"
+    _write_trace_csv(str(out), times, energy)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_energy_march_reports_blowup_with_exit_zero(capsys):
