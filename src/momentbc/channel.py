@@ -24,8 +24,12 @@ five block rows are summed straight from the tables.  The steady solve
 lays them out as a sparse matrix for the factorization.  The system is
 linear and time-invariant, so the marcher folds the three stages into one
 step operator, a cubic in the march operator with block rows over node
-offsets -6..+6; each step applies its shared row as one GEMM with a
-strided window of the state, plus one dot per wall.
+offsets -6..+6.  Every moment is even or odd along each tangential axis,
+and the march keeps those parities, so it runs as one such system per
+parity class (two planar, four in full3d), in variables in which the
+energy is a plain sum of squares.  Each step applies a class's shared row
+as one BLAS GEMM with a contiguous copy of the overlapping window of its
+state, plus one batched product for both walls.
 """
 
 from __future__ import annotations
@@ -266,6 +270,9 @@ def _steady_diagnostics(cfg, fields, residual, operator_s, solve_s) -> dict:
     }
     if "q_y" in fields:
         diagnostics["flux_balance"] = float(fields["q_y"][-1] - fields["q_y"][0])
+        # energy balance: q_y' = a y^2 with q_y(0) = 0 by symmetry
+        exact = cfg.source_amplitude * cfg.grid() ** 3 / 3.0
+        diagnostics["heat_flux_defect"] = float(np.abs(fields["q_y"] - exact).max())
     return diagnostics
 
 
@@ -620,6 +627,8 @@ class MarchResult:
     blowup: bool
     march_s: float             # wall time of the step loop
     operator_s: float          # wall time to build the step operator
+    classes: tuple             # sizes of the tangential-parity classes
+    decoupling_defect: float   # largest dropped cross-class |M| / max|M|
 
     @property
     def max_energy_growth(self) -> float:
@@ -650,29 +659,40 @@ def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
     return W, edges, b
 
 
-def _block_toeplitz_apply(W, edges, N: int):
-    """u -> D u for an operator D in block-row form.
+def _block_toeplitz_apply(W, edges, N: int, states: np.ndarray):
+    """Bind an operator D in block-row form to a set of state buffers.
 
     W is the (w m, m) transpose of the block row that nodes k..N-1-k share
     over node offsets -k..+k, w = 2k + 1 = W.shape[0] // m; edges is
     (E_lo, E_hi), the (k m, 2k m) block rows of the k nodes nearest each
-    wall over the 2k column nodes nearest it.  Node rows k..N-1-k are one
-    GEMM of W with the zero-copy (N-2k, w m) window of the state whose row
-    i holds nodes i..i+2k; each wall is one dot with the state over its
-    column span.  Returns apply(u, out), which writes D u into out.
+    wall over the 2k column nodes nearest it.  states is an (n, N m)
+    array, each row one state buffer with unit element stride.  Node rows
+    k..N-1-k are one GEMM of W with the (N-2k, w m) window of the state
+    whose row i holds nodes i..i+2k; the window overlaps itself, so it is
+    first copied into a contiguous buffer, which BLAS takes.  Both walls
+    are one batched matmul over the state's first and last 2k nodes.  The
+    views of every buffer are built here, once.  Returns apply(i, j),
+    which writes D states[i] into states[j].
     """
     m = W.shape[1]
     w = W.shape[0] // m
     k = w // 2
-    E_lo, E_hi = edges
+    E = np.stack(edges)
+    window = np.empty((N - 2 * k, w * m))
+    n, (step, item) = len(states), states.strides
+    windows = list(np.lib.stride_tricks.as_strided(
+        states, (n, N - 2 * k, w * m), (step, m * item, item)))
+    inner = list(states[:, k * m:(N - k) * m].reshape(n, N - 2 * k, m))
+    # per buffer, the column span and the rows of both walls as (2, ., 1)
+    spans = list(np.lib.stride_tricks.as_strided(
+        states, (n, 2, 2 * k * m, 1), (step, (N - 2 * k) * m * item, item, item)))
+    walls = list(np.lib.stride_tricks.as_strided(
+        states, (n, 2, k * m, 1), (step, (N - k) * m * item, item, item)))
 
-    def apply(u, out):
-        window = np.ndarray((N - 2 * k, w * m), buffer=u,
-                            strides=(m * u.itemsize, u.itemsize))
-        np.matmul(window, W, out=out.reshape(N, m)[k:N - k])
-        np.dot(E_lo, u[:2 * k * m], out=out[:k * m])
-        np.dot(E_hi, u[(N - 2 * k) * m:], out=out[(N - k) * m:])
-        return out
+    def apply(i, j):
+        np.copyto(window, windows[i])
+        np.matmul(window, W, out=inner[j])
+        np.matmul(E, spans[i], out=walls[j])
 
     return apply
 
@@ -706,11 +726,68 @@ def _step_operator(W, edges, b, dt: float, N: int):
     WR = R[6 * m:7 * m].T.copy()
     edges_R = (R[:6 * m, :12 * m].copy(), R[7 * m:, m:].copy())
 
-    apply_M = _block_toeplitz_apply(W, edges, N)
-    Mb = apply_M(b, np.empty_like(b))
-    M2b = apply_M(Mb, np.empty_like(b))
-    r = dt * (b + dt / 2.0 * (Mb + dt / 3.0 * M2b))
+    # rows b, M b, M^2 b
+    powers = np.zeros((3, b.size))
+    powers[0] = b
+    apply_M = _block_toeplitz_apply(W, edges, N, powers)
+    apply_M(0, 1)
+    apply_M(1, 2)
+    r = dt * (b + dt / 2.0 * (powers[1] + dt / 3.0 * powers[2]))
     return WR, edges_R, r
+
+
+def _parity_classes(bs: BasisSet, normal_axis: str) -> list:
+    """Moment indices of each tangential-parity class, all-even class first.
+
+    A class holds the moments that share one tuple of parity_signs(a) over
+    the axes a other than the wall normal.  The flux along the normal, the
+    relaxation, both wall operators and the heating keep these parities,
+    so the march operator is block diagonal over the classes: two planar
+    (x even or odd), four in full3d.
+    """
+    signs = np.array([bs.parity_signs(a) for a in "xyz" if a != normal_axis]).T
+    keys = sorted(set(map(tuple, signs.tolist())), reverse=True)
+    return [np.flatnonzero((signs == key).all(axis=1)) for key in keys]
+
+
+def _march_blocks(W, edges):
+    """The m x m blocks of M: (w, m, m) of the shared row over node
+    offsets, and (2, 2, 4, m, m) of the edges over (wall, row node,
+    column node)."""
+    m = W.shape[1]
+    rows = W.reshape(-1, m, m).transpose(0, 2, 1)
+    ends = np.stack(edges).reshape(2, 2, m, 4, m).transpose(0, 1, 3, 2, 4)
+    return rows, ends
+
+
+def _decoupling_defect(W, edges, classes) -> float:
+    """Largest entry of M between two parity classes, over max|M|."""
+    label = np.empty(W.shape[1], dtype=int)
+    for c, idx in enumerate(classes):
+        label[idx] = c
+    cross = label[:, None] != label
+    rows, ends = _march_blocks(W, edges)
+    dropped = max(np.abs(rows[..., cross]).max(initial=0.0),
+                  np.abs(ends[..., cross]).max(initial=0.0))
+    return float(dropped / max(np.abs(rows).max(), np.abs(ends).max()))
+
+
+def _class_operator(W, edges, b, idx, L):
+    """The block of M (W, edges) and b on the moments idx, in the
+    S-orthonormal variables w = L^T u of that class, S_c = L L^T.
+
+    Every m_c x m_c block B becomes L^T B L^-T and every node vector of b
+    L^T b, so the march keeps its form and the class energy u^T S_c u is
+    |w|^2.  Returns (W_c, edges_c, b_c) in the layout of _march_operator.
+    """
+    m_c = idx.size
+    T, T_inv = L.T, np.linalg.inv(L).T
+    rows, ends = (T @ B[..., idx[:, None], idx] @ T_inv
+                  for B in _march_blocks(W, edges))
+    W_c = rows.transpose(0, 2, 1).reshape(-1, m_c)
+    E_c = ends.transpose(0, 1, 3, 2, 4).reshape(2, 2 * m_c, 4 * m_c)
+    b_c = b.reshape(-1, W.shape[1])[:, idx] @ L
+    return W_c, (E_c[0], E_c[1]), b_c.ravel()
 
 
 def _apply_wall_state(alpha, bc_upper, bc_lower, wall, n_o):
@@ -733,18 +810,23 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
 
     init is 'zero', 'random' (seeded nodal noise) or an (N, m) array; wall
     odd moments are made consistent with the boundary relation before the
-    march.  Every step applies one folded SSP-RK3 step operator,
-    u -> R u + r (_step_operator), through _block_toeplitz_apply; r is
+    march.  The march operator is block diagonal over the tangential-parity
+    classes (_parity_classes), so each class is marched on its own, in
+    the variables w = L_c^T u with S_c = L_c L_c^T (_class_operator); the
+    cross-class entries of M are round-off and are dropped, and the
+    largest of them, over max|M|, is the result's decoupling_defect.
+    Every step applies each class's folded SSP-RK3 step operator,
+    w -> R w + r (_step_operator), through _block_toeplitz_apply; r is
     skipped when the data b are zero.  The energy E(t) = dy * sum_nodes
-    alpha^T S alpha is recorded every record_every steps and at the last
-    one, for up to _BATCH recorded states at a time: they are marched into
-    the rows of one buffer, then weighed by one product with S and one
-    contraction.  The march stops as blown up at the first recorded state
-    whose energy is not finite or exceeds _BLOWUP_FACTOR times its scale;
-    the trace ends there and alpha is that state.  operator_s on the
-    result is the wall time to build R and r, march_s that of the step
-    loop.  cfl and t_final must be finite and positive, record_every a
-    positive integer.
+    alpha^T S alpha = dy |w|^2 is recorded every record_every steps and at
+    the last one, for up to _BATCH recorded states at a time: they are
+    marched into the rows of one buffer, each row holding the classes side
+    by side, then weighed by one contraction.  The march stops as blown up
+    at the first recorded state whose energy is not finite or exceeds
+    _BLOWUP_FACTOR times its scale; the trace ends there and alpha is that
+    state, mapped back by u = L_c^-T w.  operator_s on the result is the
+    wall time to build R and r, march_s that of the step loop.  cfl and
+    t_final must be finite and positive, record_every a positive integer.
     """
     if not (0 < cfl < math.inf and 0 < t_final < math.inf):
         raise ValueError(f"cfl and t_final must be finite and positive "
@@ -777,22 +859,31 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
 
     start = time.perf_counter()
     W, edges, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
-    WR, edges_R, r = _step_operator(W, edges, b, dt, N)
-    apply_R = _block_toeplitz_apply(WR, edges_R, N)
+    classes = _parity_classes(sys.basis, sys.normal_axis)
+    defect = _decoupling_defect(W, edges, classes)
+    # each row holds the classes side by side, class c as its (N, m_c)
+    # state in S-orthonormal variables; row _BATCH + 1 is scratch
+    U = np.empty((_BATCH + 2, N * m))
+    r = np.empty(N * m)
+    stops = N * np.cumsum([idx.size for idx in classes])
+    segments = [slice(hi - N * idx.size, hi) for idx, hi in zip(classes, stops)]
+    factors, appliers = [], []
+    for idx, seg in zip(classes, segments):
+        L = np.linalg.cholesky(sys.S[np.ix_(idx, idx)])
+        WR, edges_R, r[seg] = _step_operator(
+            *_class_operator(W, edges, b, idx, L), dt, N)
+        appliers.append(_block_toeplitz_apply(WR, edges_R, N, U[:, seg]))
+        U[0, seg] = (alpha[:, idx] @ L).ravel()
+        factors.append(L)
     driven = bool(np.any(r))
     operator_s = time.perf_counter() - start
 
-    S = sys.S
     # recorded step numbers
     marks = np.arange(record_every, steps + record_every, record_every)
     marks[-1] = steps
     times = np.r_[0.0, marks * dt]
     energy = np.empty_like(times)
-    U = np.empty((_BATCH + 1, N * m))
-    U[0] = alpha.ravel()
-    tmp = np.empty(N * m)
-    aS = np.empty((_BATCH, N, m))
-    energy[0] = h * float(np.vdot(U[0].reshape(N, m) @ S, U[0]))
+    energy[0] = h * float(np.dot(U[0], U[0]))
     limit = _BLOWUP_FACTOR * max(energy[0], float(np.abs(b).max()) ** 2, 1.0)
     blowup = False
     recorded, done = 0, 0
@@ -802,18 +893,19 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
         while recorded < marks.size:
             batch = min(_BATCH, marks.size - recorded)
             for j in range(batch):
-                src = U[j]
+                src = j
                 count = min(record_every, steps - done)
                 # the last of the count steps lands in U[j + 1]
                 for left in range(count, 0, -1):
-                    dst = U[j + 1] if left % 2 else tmp
-                    apply_R(src, dst)
+                    dst = j + 1 if left % 2 else _BATCH + 1
+                    for apply in appliers:
+                        apply(src, dst)
                     if driven:
-                        dst += r
+                        U[dst] += r
                     src = dst
                 done += count
-            A = U[1:batch + 1].reshape(batch, N, m)
-            e = h * np.einsum("bij,bij->b", np.matmul(A, S, out=aS[:batch]), A)
+            states = U[1:batch + 1]
+            e = h * np.einsum("bi,bi->b", states, states)
             energy[recorded + 1:recorded + batch + 1] = e
             tripped = np.flatnonzero(~(e <= limit))
             if tripped.size:
@@ -825,8 +917,12 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
             U[0] = U[batch]
     march_s = time.perf_counter() - start
 
-    alpha = U[0].reshape(N, m).copy()
+    alpha = np.empty((N, m))
+    for idx, seg, L in zip(classes, segments, factors):
+        alpha[:, idx] = U[0, seg].reshape(N, idx.size) @ np.linalg.inv(L)
     return MarchResult(config=cfg, y=y, times=times[:recorded + 1],
                        energy=energy[:recorded + 1], alpha=alpha,
                        fields=extract_fields(sys.basis, alpha), dt=dt,
-                       blowup=blowup, march_s=march_s, operator_s=operator_s)
+                       blowup=blowup, march_s=march_s, operator_s=operator_s,
+                       classes=tuple(idx.size for idx in classes),
+                       decoupling_defect=defect)

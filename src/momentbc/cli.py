@@ -471,6 +471,8 @@ def cmd_energy_march(args: argparse.Namespace) -> int:
         "relative_growth": res.max_energy_growth / e0 if e0 > 0 else 0.0,
         "blowup": res.blowup,
         "out": args.out,
+        "classes": list(res.classes),
+        "health": {"decoupling_defect": res.decoupling_defect},
         "timings": {"operator_s": res.operator_s,
                     "march_s": res.march_s,
                     "step_us": 1e6 * res.march_s / steps},

@@ -12,9 +12,11 @@ from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
                               WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
-                              _deflation, _march_operator, _operator_terms,
-                              _pencil_modes, _phi, _polynomial_part,
-                              _steady_operator, _step_operator, extract_fields,
+                              _class_operator, _decoupling_defect, _deflation,
+                              _march_operator, _operator_terms,
+                              _parity_classes, _pencil_modes, _phi,
+                              _polynomial_part, _steady_operator,
+                              _step_operator, extract_fields,
                               reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
 from momentbc.system import characteristic_decomposition, grad_theory
@@ -131,6 +133,14 @@ def kron_oracle(terms, N):
     return total
 
 
+def apply_block_rows(W, edges, N, u):
+    """D u for an operator D in block-row form, through
+    _block_toeplitz_apply bound to the buffers [u, out]."""
+    states = np.stack([u, np.full_like(u, np.nan)])
+    _block_toeplitz_apply(W, edges, N, states)(0, 1)
+    return states[1]
+
+
 def _operator_setup(cfg, sys_):
     bc_upper = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=+1)
     bc_lower = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=-1)
@@ -166,7 +176,6 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
     bc_upper, bc_lower = args[2:4]
     K = _steady_operator(*args)
     W, edges, _ = _march_operator(*args)
-    apply = _block_toeplitz_apply(W, edges, N)
     assert K.shape == (N * m, N * m)
     y = cfg.grid()
     A = sys_.A["y"]
@@ -178,7 +187,7 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
         slope = b + curvature * 2.0 * np.outer(y, c)
         exact = slope @ A.T + alpha @ P.T
         steady = (K @ alpha.ravel()).reshape(N, m)
-        march = apply(alpha.ravel(), np.empty(N * m)).reshape(N, m)
+        march = apply_block_rows(W, edges, N, alpha.ravel()).reshape(N, m)
         assert np.abs(steady[1:-1] - exact[1:-1]).max() < 1e-9
         assert np.abs(march[inner] + exact[inner]).max() < 1e-9
         for bc, node in ((bc_lower, 0), (bc_upper, N - 1)):
@@ -239,7 +248,8 @@ def test_modal_solution_quality_and_diagnostics():
     sol = solve_modal(make_config(n_grid=64), sys=sys_)
     d = sol.diagnostics
     assert sorted(d) == ["amplitude_cond", "flux_balance", "flux_balance_target",
-                         "max_v_y", "modes", "residual", "symmetry_error", "timings"]
+                         "heat_flux_defect", "max_v_y", "modes", "residual",
+                         "symmetry_error", "timings"]
     assert sorted(d["timings"]) == ["operator_s", "solve_s"]
     assert all(np.isfinite(t) and t > 0.0 for t in d["timings"].values())
     assert d["modes"] == {"polynomial": 6, "exponential": 2 * sys_.n_o - 6}
@@ -247,6 +257,7 @@ def test_modal_solution_quality_and_diagnostics():
     assert d["residual"] < 1e-12
     assert d["max_v_y"] < 1e-13
     assert abs(d["flux_balance"] - d["flux_balance_target"]) < 1e-13
+    assert d["heat_flux_defect"] < 1e-13
     assert d["symmetry_error"] < 1e-13
     assert abs(sol.fields["rho"].sum()) < 1e-12
     wall = sol.config.wall_data()
@@ -362,7 +373,19 @@ def test_modal_full3d_even_degree_near_free_flow(degree, kn):
 def test_modal_heat_flux_is_integrated_heating(degree, kn):
     # energy balance: q_y' = a y^2 and q_y(0) = 0, so q_y = a y^3 / 3
     sol = solve_modal(make_config(degree=degree, kn=kn, n_grid=129))
-    assert np.abs(sol.fields["q_y"] - SOURCE_AMPLITUDE * sol.y ** 3 / 3).max() <= 1e-12
+    defect = np.abs(sol.fields["q_y"] - SOURCE_AMPLITUDE * sol.y ** 3 / 3).max()
+    assert defect <= 1e-12
+    assert sol.diagnostics["heat_flux_defect"] == defect
+
+
+def test_modal_reports_heat_flux_offset():
+    # an even-degree theory with mbc walls in near-free flow leaves q_y(0) != 0,
+    # which the residual check does not see; the diagnostics must show it
+    cfg = make_config(theory=grad_theory(4, "full3d"), bc_kind="mbc", kn=1e3,
+                      n_grid=128)
+    diagnostics = solve_modal(cfg).diagnostics
+    assert diagnostics["residual"] < 1e-10
+    assert diagnostics["heat_flux_defect"] > 1e-10
 
 
 @pytest.mark.parametrize("kn", [1e-3, 0.3, 1e3])
@@ -476,13 +499,16 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
     cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
     M, args = _march_oracle(cfg, sys_)
     W, edges, _ = _march_operator(*args)
-    apply = _block_toeplitz_apply(W, edges, n_grid)
     rng = np.random.default_rng(11)
-    for _ in range(3):
-        u = rng.standard_normal(n_grid * sys_.size)
-        out = np.full_like(u, np.nan)
-        assert apply(u, out) is out
-        ref = M @ u
+    # the operator bound once to a set of buffers, applied between them
+    states = rng.standard_normal((4, n_grid * sys_.size))
+    apply = _block_toeplitz_apply(W, edges, n_grid, states)
+    for i, j in ((0, 1), (2, 3), (1, 0)):
+        u = states[i].copy()
+        states[j] = np.nan
+        apply(i, j)
+        assert np.array_equal(states[i], u)
+        out, ref = states[j], M @ u
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -491,7 +517,9 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
 @pytest.mark.parametrize("n_grid", [16, 40])
 def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     # R u = (I + Z + Z^2/2 + Z^3/6) u and r = dt (I + Z/2 + Z^2/6) b, Z = dt M;
-    # at N = 16 the interior rows of R are nodes 6..9 only
+    # at N = 16 the interior rows of R are nodes 6..9 only.  Folded whole,
+    # and folded per parity class in that class's S-orthonormal variables
+    # w = L^T u, where it must give L^T times the oracle's rows of the class.
     sys_ = cached_system(degree, normal="y", axes=("y",))
     cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
     M, args = _march_oracle(cfg, sys_)
@@ -500,7 +528,6 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     dt = 0.4 * h / args[4].max_speed
     WR, edges_R, r = _step_operator(W, edges, b, dt, n_grid)
     assert WR.shape == (13 * sys_.size, sys_.size)
-    apply = _block_toeplitz_apply(WR, edges_R, n_grid)
 
     def poly(v, coeffs):
         out, z = coeffs[0] * v, v
@@ -512,12 +539,66 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     rng = np.random.default_rng(12)
     for _ in range(3):
         u = rng.standard_normal(n_grid * sys_.size)
-        out = np.full_like(u, np.nan)
-        assert apply(u, out) is out
+        out = apply_block_rows(WR, edges_R, n_grid, u)
         ref = poly(u, (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0))
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
-    ref = dt * poly(b, (1.0, 1.0 / 2.0, 1.0 / 6.0))
-    assert np.abs(r - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref_r = dt * poly(b, (1.0, 1.0 / 2.0, 1.0 / 6.0))
+    assert np.abs(r - ref_r).max() <= 1e-14 * np.abs(ref_r).max()
+
+    m = sys_.size
+    for idx in _parity_classes(sys_.basis, "y"):
+        L = np.linalg.cholesky(sys_.S[np.ix_(idx, idx)])
+        WR_c, edges_c, r_c = _step_operator(*_class_operator(W, edges, b, idx, L),
+                                            dt, n_grid)
+        assert WR_c.shape == (13 * idx.size, idx.size)
+        u = np.zeros((n_grid, m))
+        u[:, idx] = rng.standard_normal((n_grid, idx.size))
+        out = apply_block_rows(WR_c, edges_c, n_grid, (u[:, idx] @ L).ravel())
+        ref = poly(u.ravel(), (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0)).reshape(n_grid, m)[:, idx] @ L
+        assert np.abs(out - ref.ravel()).max() <= 1e-14 * np.abs(ref).max()
+        ref = ref_r.reshape(n_grid, m)[:, idx] @ L
+        assert np.abs(r_c - ref.ravel()).max() <= 1e-14 * np.abs(ref_r).max()
+
+
+@pytest.mark.parametrize("chi", [0.6, 1.0])
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree, reduction", [(3, "planar"), (4, "planar"),
+                                               (7, "planar"), (3, "full3d"),
+                                               (5, "full3d")])
+def test_march_operator_parity_classes(degree, reduction, bc_kind, chi):
+    # M is block diagonal over the tangential-parity classes up to the
+    # round-off of the characteristic split, S exactly, and the data b live
+    # in the all-even class
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(degree, reduction), n_grid=16,
+                      bc_kind=bc_kind, chi=chi)
+    W, edges, b = _march_operator(*_operator_setup(cfg, sys_))
+    classes = _parity_classes(sys_.basis, "y")
+    m = sys_.size
+    assert len(classes) == (2 if reduction == "planar" else 4)
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(m))
+    sizes = {(3, "planar"): [8, 5], (3, "full3d"): [8, 5, 5, 2]}
+    if (degree, reduction) in sizes:
+        assert [idx.size for idx in classes] == sizes[degree, reduction]
+    label = np.empty(m, dtype=int)
+    for c, idx in enumerate(classes):
+        label[idx] = c
+        signs = [sys_.basis.parity_signs(axis)[idx] for axis in ("x", "z")]
+        assert all(np.all(sign == sign[0]) for sign in signs)
+        assert (c == 0) == all(sign[0] == 1.0 for sign in signs)
+    cross = label[:, None] != label
+    # W[o m + j, i] and the edges' [row node, i, column node, j]
+    W_cross = W.reshape(-1, m, m)[:, cross.T]
+    E_cross = np.concatenate([E.reshape(2, m, 4, m).transpose(0, 2, 1, 3)[..., cross]
+                              for E in edges])
+    scale = max(np.abs(W).max(), max(np.abs(E).max() for E in edges))
+    dropped = max(np.abs(W_cross).max(), np.abs(E_cross).max())
+    assert dropped <= 1e-14 * scale
+    assert _decoupling_defect(W, edges, classes) == dropped / scale
+    assert np.all(sys_.S[cross] == 0.0)
+    outside = np.setdiff1d(np.arange(m), classes[0])
+    assert np.all(b.reshape(16, m)[:, outside] == 0.0)
+    assert np.abs(b).max() > 0.0
 
 
 def _csr_march(M, b, u, dt, steps, S, h, record_every=1, limit=np.inf):
@@ -562,19 +643,26 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
                               record_every, limit)
 
 
+# G20 planar and full3d, G35 planar: two, four and two parity classes
+_ORACLE_THEORIES = ((3, "planar"), (3, "full3d"), (4, "planar"))
+
+
 @pytest.mark.parametrize("bc_kind, driven, init", [("mbc", True, "zero"),
                                                    ("obc", False, "random")])
 def test_march_matches_csr_oracle(bc_kind, driven, init):
-    sys_ = cached_system(3, normal="y", axes=("y",))
-    kw = {} if driven else {"wall_temp": 0.0, "source_amplitude": 0.0}
-    cfg = make_config(n_grid=48, bc_kind=bc_kind, **kw)
-    steps = 50
-    res, b, (_, energies, alpha) = _march_and_oracle(cfg, sys_, init, steps, 0.4)
-    assert (np.abs(b).max() > 0) == driven
-    assert res.times.size == steps + 1 and not res.blowup
-    assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
-    assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
-    assert res.march_s > 0.0
+    # the oracle marches the unsplit M in the moments themselves
+    for degree, reduction in _ORACLE_THEORIES:
+        sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+        kw = {} if driven else {"wall_temp": 0.0, "source_amplitude": 0.0}
+        cfg = make_config(theory=grad_theory(degree, reduction), n_grid=48,
+                          bc_kind=bc_kind, **kw)
+        steps = 50
+        res, b, (_, energies, alpha) = _march_and_oracle(cfg, sys_, init, steps, 0.4)
+        assert (np.abs(b).max() > 0) == driven
+        assert res.times.size == steps + 1 and not res.blowup
+        assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
+        assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+        assert res.march_s > 0.0
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -584,17 +672,19 @@ def test_march_batches_match_per_step_oracle(record_every, cfl):
     # the last recorded step is no multiple of 7; at cfl = 5 the march blows
     # up within its first batch, and the trace and alpha must end at the
     # step that tripped, not at the end of the batch
-    sys_ = cached_system(3, normal="y", axes=("y",))
-    cfg = make_config(n_grid=32, bc_kind="mbc")
-    steps = 61
-    res, _, (marks, energies, alpha) = _march_and_oracle(
-        cfg, sys_, "random", steps, cfl, record_every)
-    assert np.array_equal(res.times, marks * res.dt)
-    assert res.blowup == (cfl > 1.0) == (marks[-1] < steps)
-    if res.blowup:
-        assert marks.size - 1 < _BATCH
-    assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
-    assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+    for degree, reduction in _ORACLE_THEORIES:
+        sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+        cfg = make_config(theory=grad_theory(degree, reduction), n_grid=32,
+                          bc_kind="mbc")
+        steps = 61
+        res, _, (marks, energies, alpha) = _march_and_oracle(
+            cfg, sys_, "random", steps, cfl, record_every)
+        assert np.array_equal(res.times, marks * res.dt)
+        assert res.blowup == (cfl > 1.0) == (marks[-1] < steps)
+        if res.blowup:
+            assert marks.size - 1 < _BATCH
+        assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
+        assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
 
 
 def test_march_accepts_array_init():

@@ -216,6 +216,7 @@ def test_solve_channel_reference_fields_only(capsys, tmp_path):
         assert sorted(comp["timings"]) == ["operator_s", "solve_s"]
         assert comp["amplitude_cond"] < 1e5
         assert comp["residual"] < 1e-12
+        assert comp["heat_flux_defect"] < 1e-12
         assert "gauge_multiplier" not in comp
     header, data = load_csv(ref)
     assert len(header) == 6
@@ -272,6 +273,10 @@ def test_energy_march_trace(capsys, tmp_path):
     assert rep["config"]["homogeneous"] is True
     for key in ("operator_s", "march_s", "step_us"):
         assert np.isfinite(rep["timings"][key]) and rep["timings"][key] > 0.0
+    # the tangential-parity classes (x even, x odd) and the round-off dropped
+    # between them
+    assert rep["classes"] == [8, 5]
+    assert 0.0 <= rep["health"]["decoupling_defect"] <= 1e-14
     header, data = load_csv(trace)
     assert header == ["t", "energy"]
     assert data[0, 0] == 0.0
