@@ -17,15 +17,15 @@ A theory keeps one stack, the independent basis polynomials.  The
 distribution reconstructed from a state sums the basis polynomials of
 all 3^n ordered index tuples; since a dependent component's polynomial
 is the trace expansion of the independent ones, that sum is the integer
-weight matrix E^T diag(w) E = 2S (`_expansion_weights`) times the stack.
+weight matrix E^T diag(w) E = 2S (`BasisSet.expansion_weights`) times the
+stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,54 +103,61 @@ def laguerre_coefficients(n: int, s: int) -> list:
     """
     if n < 0 or s < 0:
         raise ValueError("orders must be non-negative")
-    norm_sq = Fraction(math.factorial(n) * math.factorial(s))
-    for j in range(s):
-        norm_sq *= Fraction(2 * (n + j) + 3, 2)
-    norm = 1.0 / math.sqrt(float(norm_sq))
+    # the squared norm n! s! prod_j (2(n+j)+3)/2 and the ratios are integers
+    # over powers of two; int / int rounds correctly
+    odd = [2 * (n + j) + 3 for j in range(s)]
+    norm = 1.0 / math.sqrt(math.factorial(n) * math.factorial(s) * math.prod(odd) / 2 ** s)
     coeffs = []
     for p in range(s + 1):
-        ratio = Fraction(1)
-        for j in range(p, s):
-            ratio *= Fraction(2 * (n + j) + 3, 2)
-        coeffs.append(norm * float(ratio) * (-1) ** p * math.comb(s, p))
+        ratio = math.prod(odd[p:]) / 2 ** (s - p)
+        coeffs.append(norm * ratio * (-1) ** p * math.comb(s, p))
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _derivative(t) -> dict:
+    """Numerator of the derivative of 1/|xi| along the sorted index tuple t.
+
+    The derivative is P |xi|^{-(2n+1)}, n = len(t), with P a homogeneous
+    degree-n integer polynomial held as {(a, b, c): int}.  One step of
+    d_i (P |xi|^{-(2k+1)}) = (|xi|^2 d_i P - (2k+1) xi_i P) |xi|^{-(2k+3)}
+    extends the cached prefix t[:-1].
+    """
+    if not t:
+        return {(0, 0, 0): 1}
+    i = _AXIS_INDEX[t[-1]]
+    odd = 2 * len(t) - 1
+    out = {}
+    for e, v in _derivative(t[:-1]).items():
+        if e[i]:  # |xi|^2 d_i P
+            d = list(e)
+            d[i] -= 1
+            for j in range(3):
+                d[j] += 2
+                key = tuple(d)
+                out[key] = out.get(key, 0) + v * e[i]
+                d[j] -= 2
+        u = list(e)  # -(2k+1) xi_i P
+        u[i] += 1
+        key = tuple(u)
+        out[key] = out.get(key, 0) - odd * v
+    return {e: v for e, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def harmonic_tensor(component) -> np.ndarray:
     """Trace-free harmonic polynomial |xi|^n nu_t for the index tuple t.
 
-    Built from n-fold differentiation of 1/|xi| carried out exactly on
-    rational terms of the form c x^a y^b z^c |xi|^{-k}; returned as an
-    (n+1, n+1, n+1) coefficient array.
+    The n-fold derivative of 1/|xi| along t is P |xi|^{-(2n+1)}, with P
+    built exactly in integers by `_derivative`; the harmonic polynomial is
+    P / ((-1)^n (2n-1)!!), returned as an (n+1, n+1, n+1) coefficient array.
     """
     t = canonical(component)
     n = len(t)
-    # terms: {(a, b, c, k): Fraction} meaning coef * x^a y^b z^c * r^{-k}
-    terms = {(0, 0, 0, 1): Fraction(1)}
-    for axis in t:
-        i = _AXIS_INDEX[axis]
-        out = {}
-        for (a, b, c, k), coef in terms.items():
-            e = [a, b, c]
-            if e[i]:
-                key = (*(e[j] - (j == i) for j in range(3)), k)
-                out[key] = out.get(key, Fraction(0)) + coef * e[i]
-            key = (*(e[j] + (j == i) for j in range(3)), k + 2)
-            out[key] = out.get(key, Fraction(0)) - coef * k
-        terms = {key: v for key, v in out.items() if v}
-    scale = Fraction((-1) ** n, math.prod(range(2 * n - 1, 0, -2)) if n else 1)
-    # multiply by r^{2n+1}; every term then carries an even power r^{2m}
-    poly = {}
-    for (a, b, c, k), coef in terms.items():
-        m2 = 2 * n + 1 - k
-        assert m2 >= 0 and m2 % 2 == 0
-        for (i, j, l), w in _r2_power(m2 // 2):
-            e = (a + i, b + j, c + l)
-            poly[e] = poly.get(e, Fraction(0)) + scale * coef * w
+    denom = (-1) ** n * math.prod(range(2 * n - 1, 0, -2))
     out = np.zeros((n + 1,) * 3)
-    for e, v in poly.items():
-        out[e] = float(v)
+    for e, v in _derivative(t).items():
+        out[e] = v / denom
     out.flags.writeable = False
     return out
 
@@ -196,7 +203,7 @@ class BasisSet:
     entries holds the independent basis functions and polys their
     coefficient arrays, one (size, D+1, D+1, D+1) stack.  The polynomial
     a distribution is reconstructed with is not stored: it is 2S times
-    this stack (see _expansion_weights).
+    this stack (see expansion_weights).
     """
 
     theory: object
@@ -232,6 +239,21 @@ class BasisSet:
             seen.setdefault((bf.rank, bf.radial), []).append(i)
         return seen
 
+    @cached_property
+    def expansion_weights(self) -> np.ndarray:
+        """Exact integer weights E^T diag(w) E = 2S of the trace-free
+        expansion, one block per (rank, radial) pair; times polys they
+        give the reconstruction behind every moment.  Computed once,
+        read-only."""
+        W = np.zeros((self.size, self.size))
+        for (n, s), cols in self.blocks().items():
+            _, E, w = _expansion(n, self.theory.reduction)
+            indep = independent_components(n, self.theory.reduction)
+            E = E[:, [indep.index(self.entries[i].component) for i in cols]]
+            W[np.ix_(cols, cols)] = (E.T * w) @ E
+        W.flags.writeable = False
+        return W
+
 
 def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
     """Enumerate and order the moments of a theory.
@@ -258,19 +280,6 @@ def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
                     polys=polys, n_o=n_o, n_e=len(entries) - n_o)
 
 
-def _expansion_weights(bs: BasisSet) -> np.ndarray:
-    """Exact integer weights E^T diag(w) E = 2S of the trace-free
-    expansion, one block per (rank, radial) pair; times bs.polys they
-    give the reconstruction behind every moment."""
-    W = np.zeros((bs.size, bs.size))
-    for (n, s), cols in bs.blocks().items():
-        _, E, w = _expansion(n, bs.theory.reduction)
-        indep = independent_components(n, bs.theory.reduction)
-        E = E[:, [indep.index(bs.entries[i].component) for i in cols]]
-        W[np.ix_(cols, cols)] = (E.T * w) @ E
-    return W
-
-
 @dataclass(frozen=True)
 class OrthogonalityReport:
     matrix: np.ndarray
@@ -285,6 +294,6 @@ def verify_orthogonality(bs: BasisSet) -> OrthogonalityReport:
     """Check the reconstruction identity: testing the reconstruction
     behind moment b with basis function a, <polys, polys> 2S, recovers
     the identity matrix."""
-    gram = _gram(bs.polys, bs.polys) @ _expansion_weights(bs)
+    gram = _gram(bs.polys, bs.polys) @ bs.expansion_weights
     return OrthogonalityReport(matrix=gram,
                                max_deviation=float(np.abs(gram - np.eye(bs.size)).max()))

@@ -15,8 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import FULL3D, PLANAR, REDUCTIONS, _expansion
-from .basis import (BasisSet, _expansion_weights, _gram, _stack,
-                    basis_polynomial, build_basis_set)
+from .basis import BasisSet, _gram, _stack, basis_polynomial, build_basis_set
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,13 @@ def assemble_symmetrizer(bs: BasisSet) -> np.ndarray:
     1/2 E^T diag(w) E per (rank, radial) pair, with w the multiplicities.
     Entries are exact half-integers.
     """
-    return 0.5 * _expansion_weights(bs)
+    return 0.5 * bs.expansion_weights
 
 
 def assemble_flux(bs: BasisSet, axis: str = "x") -> np.ndarray:
     """Flux matrix A^(axis): moments of xi_axis times the reconstruction
     2S polys, taken as <polys, xi_axis polys> 2S."""
-    return _gram(bs.polys, bs.polys, axis=axis) @ _expansion_weights(bs)
+    return _gram(bs.polys, bs.polys, axis=axis) @ bs.expansion_weights
 
 
 def bgk_projector(bs: BasisSet) -> np.ndarray:

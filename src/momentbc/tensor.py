@@ -4,7 +4,7 @@ Moment coefficients of rank n live on symmetric trace-free tensors.  Only a
 small set of components is independent: 2n+1 in full 3D, n+1 once the state
 is restricted to fields that are even in the z velocity component (the
 planar reduction used for slab geometries).  This module enumerates
-components, resolves the trace constraints exactly over the rationals and
+components, resolves the trace constraints exactly over the integers and
 holds the one expansion matrix that maps independent components to the
 multisets of a rank, which the basis, the symmetrizer and the symmetry
 check all share.
@@ -13,7 +13,6 @@ check all share.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -80,10 +79,10 @@ def independent_components(n: int, reduction: str = FULL3D) -> list:
 def trace_expansion(n: int, reduction: str = FULL3D) -> dict:
     """Expand every rank-n component over the independent set.
 
-    Returns {multiset: {independent multiset: Fraction}}.  Repeated use of
-    the trace constraint T_{m z z} = -T_{m x x} - T_{m y y} removes z pairs;
-    in the planar reduction any component with an odd z count vanishes.
-    All coefficients come out as integers.
+    Returns {multiset: {independent multiset: int}}.  Repeated use of the
+    trace constraint T_{m z z} = -T_{m x x} - T_{m y y} removes z pairs, so
+    every coefficient is an integer; in the planar reduction any component
+    with an odd z count vanishes.
     """
     _check_reduction(reduction)
     zmax = 1 if reduction == FULL3D else 0
@@ -96,13 +95,13 @@ def trace_expansion(n: int, reduction: str = FULL3D) -> dict:
         if reduction == PLANAR and zc % 2:
             res = {}
         elif zc <= zmax:
-            res = {m: Fraction(1)}
+            res = {m: 1}
         else:
             base = tuple(a for a in m if a != "z") + ("z",) * (zc - 2)
             res = {}
             for rep in ("x", "y"):
                 for comp, c in expand(canonical(base + (rep, rep))).items():
-                    res[comp] = res.get(comp, Fraction(0)) - c
+                    res[comp] = res.get(comp, 0) - c
             res = {k: v for k, v in res.items() if v}
         cache[m] = res
         return res

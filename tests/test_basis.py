@@ -1,18 +1,19 @@
 """Basis polynomials and Gaussian-weighted inner products."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval3d
 from scipy import integrate
 
-from momentbc.basis import (_full_moment, _gram, _half_moment, _stack,
-                            basis_polynomial, build_basis_set,
-                            harmonic_tensor, laguerre_coefficients,
-                            verify_orthogonality)
+from momentbc.basis import (_AXIS_INDEX, _full_moment, _gram, _half_moment,
+                            _r2_power, _stack, basis_polynomial,
+                            build_basis_set, harmonic_tensor,
+                            laguerre_coefficients, verify_orthogonality)
 from momentbc.system import assemble_flux, assemble_symmetrizer, grad_theory
-from momentbc.tensor import _expansion, independent_components
+from momentbc.tensor import _expansion, independent_components, multisets
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -174,6 +175,29 @@ def test_laguerre_rejects_negative_orders():
         laguerre_coefficients(0, -2)
 
 
+def fraction_laguerre(n, s):
+    """Oracle: the radial coefficients with the norm and the ratios held as
+    Fractions, cast to float only at the end."""
+    norm_sq = Fraction(math.factorial(n) * math.factorial(s))
+    for j in range(s):
+        norm_sq *= Fraction(2 * (n + j) + 3, 2)
+    norm = 1.0 / math.sqrt(float(norm_sq))
+    coeffs = []
+    for p in range(s + 1):
+        ratio = Fraction(1)
+        for j in range(p, s):
+            ratio *= Fraction(2 * (n + j) + 3, 2)
+        coeffs.append(norm * float(ratio) * (-1) ** p * math.comb(s, p))
+    return coeffs
+
+
+def test_laguerre_matches_fraction_oracle():
+    # integer numerators over powers of two round exactly like the Fractions
+    for n in range(30):
+        for s in range(16):
+            assert laguerre_coefficients(n, s) == fraction_laguerre(n, s), (n, s)
+
+
 def test_radial_family_orthonormal():
     # scalar ladder: psi^(s) built from rank 0 radial polynomials
     polys = [basis_polynomial(0, s, ()) for s in range(4)]
@@ -216,6 +240,45 @@ def test_harmonic_tensor_is_harmonic():
         res = laplacian(harmonic_tensor(comp))
         worst = np.abs(res).max()
         assert worst < 1e-12, comp
+
+
+def fraction_harmonic(component):
+    """Oracle: n-fold differentiation of 1/|xi| on Fraction terms
+    c x^a y^b z^c |xi|^{-k}, times |xi|^{2n+1} (-1)^n / (2n-1)!!."""
+    n = len(component)
+    terms = {(0, 0, 0, 1): Fraction(1)}
+    for axis in component:
+        i = _AXIS_INDEX[axis]
+        out = {}
+        for (a, b, c, k), coef in terms.items():
+            e = [a, b, c]
+            if e[i]:
+                key = (*(e[j] - (j == i) for j in range(3)), k)
+                out[key] = out.get(key, Fraction(0)) + coef * e[i]
+            key = (*(e[j] + (j == i) for j in range(3)), k + 2)
+            out[key] = out.get(key, Fraction(0)) - coef * k
+        terms = {key: v for key, v in out.items() if v}
+    scale = Fraction((-1) ** n, math.prod(range(2 * n - 1, 0, -2)))
+    poly = {}
+    for (a, b, c, k), coef in terms.items():
+        for (i, j, l), w in _r2_power((2 * n + 1 - k) // 2):
+            e = (a + i, b + j, c + l)
+            poly[e] = poly.get(e, Fraction(0)) + scale * coef * w
+    out = np.zeros((n + 1,) * 3)
+    for e, v in poly.items():
+        out[e] = float(v)
+    return out
+
+
+def test_harmonic_tensor_matches_fraction_oracle():
+    # the integer recurrence gives the same floats, bit for bit
+    comps = [m for n in range(13) for m in multisets(n)]
+    comps += [("x",) * 6 + ("y",) * 5 + ("z",) * 3,
+              ("x",) * 7 + ("y",) * 2 + ("z",) * 7]
+    for comp in comps:
+        got, ref = harmonic_tensor(comp), fraction_harmonic(comp)
+        assert got.tobytes() == ref.tobytes(), comp
+        assert not got.flags.writeable
 
 
 def test_basis_polynomial_degree_and_validation():
@@ -293,6 +356,16 @@ def test_reconstruction_identity(degree, reduction):
     assert rep.ok
     assert rep.max_deviation < 1e-12
     assert rep.matrix.shape == (bs.size, bs.size)
+
+
+@pytest.mark.parametrize("degree,reduction", [(4, "planar"), (4, "full3d")])
+def test_expansion_weights_held_once(degree, reduction):
+    bs = build_basis_set(grad_theory(degree, reduction), "y")
+    W = bs.expansion_weights
+    assert W is bs.expansion_weights
+    assert not W.flags.writeable
+    assert np.array_equal(W, np.round(W))
+    assert np.array_equal(W, 2.0 * assemble_symmetrizer(bs))
 
 
 def multiset_reconstruction(bs):

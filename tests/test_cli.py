@@ -445,3 +445,13 @@ def test_import_loads_no_scipy():
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
+
+
+def test_import_loads_no_fractions_or_decimal():
+    # the basis is built in integers, so no rational arithmetic is imported
+    code = ("import sys\n"
+            "import momentbc, momentbc.cli\n"
+            "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

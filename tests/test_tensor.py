@@ -108,6 +108,34 @@ def test_full3d_keeps_single_z():
                                     ("y", "y", "z"): Fraction(-1)}
 
 
+def fraction_trace_expansion(n, reduction):
+    """Oracle: the trace constraint resolved recursively on Fractions."""
+    zmax = 1 if reduction == "full3d" else 0
+
+    def expand(m):
+        zc = m.count("z")
+        if reduction == "planar" and zc % 2:
+            return {}
+        if zc <= zmax:
+            return {m: Fraction(1)}
+        base = tuple(a for a in m if a != "z") + ("z",) * (zc - 2)
+        res = {}
+        for rep in ("x", "y"):
+            for comp, c in expand(tensor.canonical(base + (rep, rep))).items():
+                res[comp] = res.get(comp, Fraction(0)) - c
+        return {k: v for k, v in res.items() if v}
+
+    return {m: expand(m) for m in tensor.multisets(n)}
+
+
+def test_trace_expansion_integers_match_fraction_oracle():
+    for n in range(11):
+        for red in tensor.REDUCTIONS:
+            exp = tensor.trace_expansion(n, red)
+            assert exp == fraction_trace_expansion(n, red), (n, red)
+            assert all(type(v) is int for row in exp.values() for v in row.values())
+
+
 def multiset_rows(n, reduction):
     """Rows of E for every rank-n multiset; those the expansion drops are zero."""
     kept, E, _ = tensor._expansion(n, reduction)
