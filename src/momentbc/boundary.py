@@ -158,14 +158,15 @@ def make_boundary_operator(sys: MomentSystem, kind: str = "obc",
 
     The -1 orientation is the +1 operator conjugated by the parity
     reflection of the state, which flips the even-to-odd gain and the
-    inhomogeneity columns.
+    inhomogeneity columns.  Both start from the system's M_mbc and g
+    columns, assembled once per system (MomentSystem.mbc).
     """
     if kind not in ("mbc", "obc"):
         raise ValueError("kind must be 'mbc' or 'obc'")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     beta = accommodation_gain(chi)
-    M_plus, g_plus = assemble_mbc(sys)
+    M_plus, g_plus = sys.mbc
     g_columns = {k: sign * v for k, v in g_plus.items()}
     diagnostics = {}
     if kind == "mbc":

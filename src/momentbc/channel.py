@@ -28,8 +28,10 @@ offsets -6..+6.  Every moment is even or odd along each tangential axis,
 and the march keeps those parities, so it runs as one such system per
 parity class (two planar, four in full3d), in variables in which the
 energy is a plain sum of squares.  Each step applies a class's shared row
-as one BLAS GEMM with a contiguous copy of the overlapping window of its
-state, plus one batched product for both walls.
+to super-nodes of b consecutive nodes: one BLAS GEMM of a contiguous copy
+of the overlapping windows of its state with a block-banded matrix that
+holds the row b times, so each GEMM row writes b nodes, plus one batched
+product for both walls.
 """
 
 from __future__ import annotations
@@ -666,23 +668,38 @@ def _block_toeplitz_apply(W, edges, N: int, states: np.ndarray):
     over node offsets -k..+k, w = 2k + 1 = W.shape[0] // m; edges is
     (E_lo, E_hi), the (k m, 2k m) block rows of the k nodes nearest each
     wall over the 2k column nodes nearest it.  states is an (n, N m)
-    array, each row one state buffer with unit element stride.  Node rows
-    k..N-1-k are one GEMM of W with the (N-2k, w m) window of the state
-    whose row i holds nodes i..i+2k; the window overlaps itself, so it is
-    first copied into a contiguous buffer, which BLAS takes.  Both walls
-    are one batched matmul over the state's first and last 2k nodes.  The
-    views of every buffer are built here, once.  Returns apply(i, j),
-    which writes D states[i] into states[j].
+    array, each row one state buffer with unit element stride.  The
+    interior nodes are grouped into super-nodes of b consecutive nodes,
+    b = 4 for m <= 16 and 2 above, so that one GEMM row writes b nodes and
+    BLAS sees b m columns rather than m.  Super-node s, nodes
+    k + sb .. k + sb + b - 1, is the window of nodes sb .. sb + b - 1 + 2k
+    times the ((b + 2k) m, b m) band that holds W b times, each copy one
+    node lower.  The windows overlap, so they are first copied into a
+    contiguous buffer, which repeats each state entry 1 + 2k/b times.  The
+    (N - 2k) mod b interior nodes left over next to the upper wall are
+    their own window, a contiguous run of the state, times the band's
+    leading block.  Both walls are one batched matmul over the state's
+    first and last 2k nodes.  The views of every buffer are built here,
+    once.  Returns apply(i, j), which writes D states[i] into states[j].
     """
     m = W.shape[1]
     w = W.shape[0] // m
     k = w // 2
+    b = 4 if m <= 16 else 2
+    rows, left = divmod(N - 2 * k, b)
+    band = np.zeros(((b + 2 * k) * m, b * m))
+    for j in range(b):
+        band[j * m:(j + w) * m, j * m:(j + 1) * m] = W
+    tail = band[:(left + 2 * k) * m, :left * m].copy()
     E = np.stack(edges)
-    window = np.empty((N - 2 * k, w * m))
+    window = np.empty((rows, (b + 2 * k) * m))
     n, (step, item) = len(states), states.strides
     windows = list(np.lib.stride_tricks.as_strided(
-        states, (n, N - 2 * k, w * m), (step, m * item, item)))
-    inner = list(states[:, k * m:(N - k) * m].reshape(n, N - 2 * k, m))
+        states, (n, rows, (b + 2 * k) * m), (step, b * m * item, item)))
+    inner = list(states[:, k * m:(k + rows * b) * m].reshape(n, rows, b * m))
+    # the leftover nodes and the window they span, as single rows
+    tails = list(states[:, rows * b * m:].reshape(n, 1, -1))
+    ends = list(states[:, (k + rows * b) * m:(N - k) * m].reshape(n, 1, -1))
     # per buffer, the column span and the rows of both walls as (2, ., 1)
     spans = list(np.lib.stride_tricks.as_strided(
         states, (n, 2, 2 * k * m, 1), (step, (N - 2 * k) * m * item, item, item)))
@@ -691,7 +708,9 @@ def _block_toeplitz_apply(W, edges, N: int, states: np.ndarray):
 
     def apply(i, j):
         np.copyto(window, windows[i])
-        np.matmul(window, W, out=inner[j])
+        np.matmul(window, band, out=inner[j])
+        if left:
+            np.matmul(tails[i], tail, out=ends[j])
         np.matmul(E, spans[i], out=walls[j])
 
     return apply

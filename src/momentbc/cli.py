@@ -7,13 +7,15 @@ Subcommands
     compare          join two channel CSVs and emit error columns + plot script
     energy-march     explicit time march recording the entropy energy
 
-Every option is defined, defaulted and typed once, in build_parser, and
-each command reads the parsed namespace.  ``--config file.json`` names a
-JSON object whose keys are the subcommand's option names (grid, t_final,
-normal_axis, ...).  Each key is replayed as ``--key-with-dashes=value``
-(a bare flag for true, nothing for false) ahead of the command-line flags,
-so the command line wins and file values pass the same checks; a key the
-subcommand has no option for is a usage error.
+Every option is defined, defaulted and typed once, in the option
+functions that build_parser calls, and each command reads the parsed
+namespace; a command line builds the options of its own subcommand only.
+``--config file.json`` names a JSON object whose keys are the
+subcommand's option names (grid, t_final, normal_axis, ...).  Each key is
+replayed as ``--key-with-dashes=value`` (a bare flag for true, nothing for
+false) ahead of the command-line flags, so the command line wins and file
+values pass the same checks; a key the subcommand has no option for is a
+usage error.
 
 Exit codes: 0 success; 1 usage or configuration error, which includes an
 unknown option or config key, a missing --theory, a malformed --m or
@@ -80,61 +82,54 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="momentbc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _normal_axis(p):
+    p.add_argument("--normal-axis", choices=("x", "y"), default="x")
 
-    def command(name, help, theory=True):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="JSON file of option values (flags win)")
-        if theory:
-            p.add_argument("--theory", required=True,
-                           help="named theory (G20) or 'custom' with --m")
-            p.add_argument("--m", help="comma list of radial counts per tensor rank")
-            p.add_argument("--reduction", choices=(PLANAR, FULL3D), default=PLANAR)
-        return p
 
-    def normal_axis(p):
-        p.add_argument("--normal-axis", choices=("x", "y"), default="x")
+def _chi(p):
+    p.add_argument("--chi", type=float, default=1.0,
+                   help="accommodation coefficient in (0, 1]")
 
-    def chi(p):
-        p.add_argument("--chi", type=float, default=1.0,
-                       help="accommodation coefficient in (0, 1]")
 
-    def channel(p):
-        p.add_argument("--bc", choices=("mbc", "obc"), default="obc")
-        p.add_argument("--kn", type=float, default=0.3)
-        chi(p)
-        p.add_argument("--grid", type=int, default=512, help="nodes, at least 16")
+def _channel(p):
+    p.add_argument("--bc", choices=("mbc", "obc"), default="obc")
+    p.add_argument("--kn", type=float, default=0.3)
+    _chi(p)
+    p.add_argument("--grid", type=int, default=512, help="nodes, at least 16")
 
-    p = command("assemble", "assemble and verify one moment system")
-    normal_axis(p)
+
+def _assemble_options(p):
+    _normal_axis(p)
     p.add_argument("--dump", choices=("s-matrix", "a-x", "a-y", "a-z", "p-bgk"))
     p.add_argument("--out", help="CSV path for --dump (stdout when omitted)")
 
-    p = command("check-stability", "boundary admissibility report")
-    normal_axis(p)
-    chi(p)
+
+def _check_stability_options(p):
+    _normal_axis(p)
+    _chi(p)
     one = p.add_mutually_exclusive_group()  # a sweep reports both kinds
     one.add_argument("--bc", choices=("mbc", "obc"), help="one kind (default both)")
     one.add_argument("--scan-chi",
                      help="a:b:n accommodation sweep (inclusive endpoints)")
 
-    p = command("solve-channel", "steady heated-channel solve")
-    channel(p)
+
+def _solve_channel_options(p):
+    _channel(p)
     p.add_argument("--out", help="CSV path for the solution")
     p.add_argument("--reference",
                    help="comma list of theory names; writes the average of their "
                    "exact modal solutions sampled on the grid")
 
-    p = command("compare", "join two channel CSVs, emit error columns", theory=False)
+
+def _compare_options(p):
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--out", help="joined CSV path")
     p.add_argument("--plot", help="gnuplot script path")
 
-    p = command("energy-march", "explicit march with energy trace")
-    channel(p)
+
+def _energy_march_options(p):
+    _channel(p)
     p.add_argument("--t-final", type=positive_float, default=10.0)
     p.add_argument("--cfl", type=positive_float, default=0.4)
     p.add_argument("--init", choices=("zero", "random"), default="zero")
@@ -143,6 +138,36 @@ def build_parser() -> _Parser:
                    help="zero wall data and heating (pure decay test)")
     p.add_argument("--out", help="CSV path for the (t, energy) trace")
 
+
+# subcommand: (help, takes a theory, its own options)
+_SUBCOMMANDS = {
+    "assemble": ("assemble and verify one moment system", True, _assemble_options),
+    "check-stability": ("boundary admissibility report", True, _check_stability_options),
+    "solve-channel": ("steady heated-channel solve", True, _solve_channel_options),
+    "compare": ("join two channel CSVs, emit error columns", False, _compare_options),
+    "energy-march": ("explicit march with energy trace", True, _energy_march_options),
+}
+
+
+def build_parser(chosen: str = None) -> _Parser:
+    """The parser of every subcommand, or, when chosen names one, of that
+    one alone, which is all a command line that starts with chosen can
+    reach.  Its usage then spells out every subcommand, as argparse does
+    for the whole set."""
+    parser = _Parser(prog="momentbc", description=__doc__.splitlines()[0])
+    every = None if chosen is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=every)
+    for name, (help, theory, options) in _SUBCOMMANDS.items():
+        if chosen not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON file of option values (flags win)")
+        if theory:
+            p.add_argument("--theory", required=True,
+                           help="named theory (G20) or 'custom' with --m")
+            p.add_argument("--m", help="comma list of radial counts per tensor rank")
+            p.add_argument("--reduction", choices=(PLANAR, FULL3D), default=PLANAR)
+        options(p)
     return parser
 
 
@@ -169,7 +194,8 @@ def parse_args(argv) -> argparse.Namespace:
             flags.append(flag)
         elif value is not False:
             flags.append(f"{flag}={value}")
-    args = build_parser().parse_args(argv[:1] + flags + argv[1:])
+    chosen = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(chosen).parse_args(argv[:1] + flags + argv[1:])
     # a false key replays as nothing, so it must name a flag to be checked at all
     for key, value in values.items():
         if value is False and not isinstance(getattr(args, key, None), bool):
@@ -445,11 +471,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _write_trace_csv(path: str, times, energy) -> None:
-    """The (t, energy) trace as CSV, in the csv module's default dialect."""
+    """The (t, energy) trace as CSV, in the csv module's default dialect.
+    The times and energies are interleaved into one flat list and
+    formatted 1024 rows at a time, each block by a single %, so that only
+    one block's text is held at once."""
+    flat = np.column_stack([times, energy]).ravel().tolist()
     row = f"{FLOAT_FMT},{FLOAT_FMT}\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("t,energy\r\n")
-        fh.writelines(row % te for te in zip(times.tolist(), energy.tolist()))
+        for start in range(0, len(flat), 2048):
+            block = tuple(flat[start:start + 2048])
+            fh.write((row * (len(block) // 2)) % block)
 
 
 def cmd_energy_march(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -152,6 +153,18 @@ class MomentSystem:
         [[0, Aoe], [Aoe^T, 0]] in the odd-first ordering."""
         SA = self.S @ self.A_normal
         return SA[: self.n_o, self.n_o:]
+
+    @cached_property
+    def mbc(self):
+        """boundary.assemble_mbc of this system, (M_mbc, g_columns).
+        Neither depends on the accommodation coefficient, the kind or the
+        wall's sign, so every boundary operator of the system shares them.
+        Computed once, read-only."""
+        from . import boundary  # boundary imports this module
+        M, g_columns = boundary.assemble_mbc(self)
+        for a in (M, *g_columns.values()):
+            a.flags.writeable = False
+        return M, MappingProxyType(g_columns)
 
 
 def assemble_system(theory: MomentTheory, normal_axis: str = "x",

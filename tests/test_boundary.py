@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from momentbc import boundary
 from momentbc.boundary import (WallData, accommodation_gain, assemble_mbc,
                                assemble_obc, make_boundary_operator,
                                wall_inhomogeneity)
-from momentbc.system import characteristic_decomposition
+from momentbc.system import assemble_system, characteristic_decomposition, grad_theory
 
 from conftest import cached_system, characteristic_form
 
@@ -48,6 +49,31 @@ def test_mbc_slip_coefficient():
     j_vy = sys_.basis.index_of(1, 0, ("y",)) - sys_.n_o
     # shear gain 2 beta M = 1/sqrt(pi) at full accommodation
     assert bo.gain()[1, j_vy] == pytest.approx(1.0 / math.sqrt(math.pi))
+
+
+def test_mbc_held_once_per_system(monkeypatch):
+    # M_mbc and its g columns depend on neither chi, the kind nor the sign,
+    # so a system's first boundary operator assembles them and every later
+    # one reuses the same read-only arrays
+    calls = []
+    monkeypatch.setattr(boundary, "assemble_mbc",
+                        lambda sys_: calls.append(sys_) or assemble_mbc(sys_))
+    sys_ = assemble_system(grad_theory(3), normal_axis="x")  # nothing held yet
+    cases = (("mbc", 1.0, +1), ("obc", 0.6, +1), ("mbc", 0.6, -1), ("obc", 1.0, -1))
+    ops = [make_boundary_operator(sys_, kind, chi, sign) for kind, chi, sign in cases]
+    assert calls == [sys_]
+    M, g_cols = sys_.mbc
+    assert sys_.mbc[0] is M and sys_.mbc[1] is g_cols
+    assert not M.flags.writeable
+    assert not any(col.flags.writeable for col in g_cols.values())
+    with pytest.raises(TypeError):
+        g_cols["temp"] = np.zeros_like(g_cols["temp"])
+    ref_M, ref_g = assemble_mbc(sys_)
+    assert np.array_equal(M, ref_M) and g_cols.keys() == ref_g.keys()
+    for (kind, chi, sign), bo in zip(cases, ops):
+        assert all(np.array_equal(bo.g_columns[key], sign * ref_g[key]) for key in ref_g)
+        if kind == "mbc":
+            assert np.array_equal(bo.gain(), sign * 2.0 * accommodation_gain(chi) * ref_M)
 
 
 def test_mbc_temp_column_appears_with_heat_flux(g20x):

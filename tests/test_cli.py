@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import momentbc
-from momentbc.cli import FLOAT_FMT, _write_trace_csv, main
+from momentbc.cli import FLOAT_FMT, _write_trace_csv, build_parser, main
 
 from conftest import cached_system
 
@@ -136,6 +136,26 @@ def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_help_lists_every_subcommand(capsys):
+    rc, out, _ = run_cli(capsys, "--help")
+    assert rc == 0
+    for name in ("assemble", "check-stability", "solve-channel", "compare",
+                 "energy-march"):
+        assert f"    {name} " in out
+        # a command line builds its own subcommand's options only; its help
+        # must read as from the parser of every subcommand
+        rc, own, _ = run_cli(capsys, name, "--help")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([name, "--help"])
+        assert rc == exc.value.code == 0
+        assert own == capsys.readouterr().out
+        assert "--config" in own
+    # the top-level usage of an error still names every subcommand
+    rc, _, err = run_cli(capsys, "assemble", "--theory", "G20", "--bogus")
+    assert rc == 1
+    assert err.startswith(build_parser().format_usage())
 
 
 def test_check_stability_single_kind(capsys):
@@ -298,6 +318,17 @@ def test_trace_csv_matches_csv_writer(tmp_path):
     out = tmp_path / "out.csv"
     _write_trace_csv(str(out), times, energy)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_trace_csv_blocks_match_row_by_row(tmp_path):
+    # 2,500 rows: two whole 1,024-row blocks of the writer and a partial one
+    times = np.linspace(0.0, 10.0, 2500)
+    energy = np.random.default_rng(7).standard_normal(2500)
+    out = tmp_path / "out.csv"
+    _write_trace_csv(str(out), times, energy)
+    rows = (f"{FLOAT_FMT},{FLOAT_FMT}\r\n" % te
+            for te in zip(times.tolist(), energy.tolist()))
+    assert out.read_bytes() == ("t,energy\r\n" + "".join(rows)).encode()
 
 
 def test_energy_march_reports_blowup_with_exit_zero(capsys):
