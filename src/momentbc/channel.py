@@ -19,19 +19,19 @@ integrates the same system with second-order upwind characteristic
 splitting and a three-stage strong stability preserving scheme.  Both
 grid operators are terms of a node stencil, given as a weight table, times
 an m x m moment block, and both are block-Toeplitz: nodes 2..N-3 share one
-block row, and only the rows of nodes 0, 1, N-2 and N-1 differ.  Those
-five block rows are summed straight from the tables.  The steady solve
-lays them out as a sparse matrix for the factorization.  The system is
-linear and time-invariant, so the marcher folds the three stages into one
-step operator, a cubic in the march operator with block rows over node
-offsets -6..+6.  Every moment is even or odd along each tangential axis,
-and the march keeps those parities, so it runs as one such system per
-parity class (two planar, four in full3d), in variables in which the
-energy is a plain sum of squares.  Each step applies a class's shared row
-to super-nodes of b consecutive nodes: one BLAS GEMM of a contiguous copy
-of the overlapping windows of its state with a block-banded matrix that
-holds the row b times, so each GEMM row writes b nodes, plus one batched
-product for both walls.
+block row, and only the rows of nodes 0, 1, N-2 and N-1 differ.  So each
+is held as its dense matrix on a 5-node grid, summed from the tables; the
+steady solve lays its rows out as a sparse matrix.  The system is linear
+and time-invariant, so the marcher folds the three stages into one step
+operator, a cubic in the march operator, raised densely on 13 nodes.
+Every moment is even or odd along each tangential axis, and the march
+keeps those parities, so it runs as one such system per parity class (two
+planar, four in full3d), in variables in which the energy is a plain sum
+of squares.  Each step applies a class's shared row to super-nodes of b
+consecutive nodes: one BLAS GEMM of a contiguous copy of the overlapping
+windows of its state with a block-banded matrix that holds the row b
+times, so each GEMM row writes b nodes, plus one batched product for both
+walls.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BasisSet
-from .boundary import WallData, make_boundary_operator
+from .boundary import WallData, accommodation_gain, make_boundary_operator
 from .system import (MomentSystem, MomentTheory, assemble_system,
                      characteristic_decomposition, grad_theory)
 
@@ -97,8 +97,11 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0 < self.kn < math.inf:
             raise ValueError("Knudsen number must be finite and positive")
+        if not isinstance(self.n_grid, numbers.Integral):
+            raise ValueError(f"n_grid must be an integer (got {self.n_grid!r})")
         if self.n_grid < 16:
             raise ValueError("need at least 16 grid nodes")
+        accommodation_gain(self.chi)
         if self.bc_kind not in ("mbc", "obc"):
             raise ValueError("bc_kind must be 'mbc' or 'obc'")
 
@@ -216,45 +219,37 @@ def _operator_terms(cfg, sys, bc_upper, bc_lower, dec):
     return steady, march
 
 
-def _window_start(node, N):
-    """First of the five column nodes that block row `node` spans."""
-    return np.clip(node - 2, 0, N - 5)
+def _grid_operator(terms, m: int, n: int) -> np.ndarray:
+    """Grid form of sum_t table_t (x) B_t over (table, h, B) terms.
 
-
-def _block_rows(terms, m: int) -> np.ndarray:
-    """Block rows of sum_t table_t (x) B_t over (table, h, B) terms.
-
-    Every table treats nodes 2..N-3 alike, with stencils over node offsets
-    -2..+2, and keeps the rows of nodes 0, 1, N-2 and N-1 within the four
-    nodes nearest their wall.  So block row i has five m x m blocks, over
-    the column nodes from _window_start(i, N), and the rows of those four
-    nodes and one interior node fix the operator; on a 7-node grid they are
-    nodes 0, 1, 3, 5 and 6.  Returns them as a (5, 5, m, m) array, each
-    block summed num / (den * h) * B in term order.
+    An operator whose nodes k..N-1-k share one block row over node offsets
+    -k..+k, and whose k nodes nearest each wall reach only the 2k nearest
+    it, is fixed by its dense matrix on n nodes, any odd n >= 2k + 1: its
+    grid form, an (n, m, n, m) array Z with block Z[i, :, j] from node j
+    to node i.  Every table has k = 2.  Each block is summed
+    num / (den * h) * B in term order.
     """
-    rows = np.zeros((5, 5, m, m))
+    Z = np.zeros((n, m, n, m))
     for table, h, B in terms:
         for nodes, den, taps in table:
-            for r, node in enumerate((0, 1, 3, 5, 6)):
-                if node in range(7)[nodes]:
-                    start = _window_start(node, 7)
-                    for offset, num in taps.items():
-                        rows[r, node + offset - start] += num / (den * h) * B
-    return rows
+            rows = np.arange(n)[nodes]
+            for offset, num in taps.items():
+                Z[rows, :, rows + offset] += num / (den * h) * B
+    return Z
 
 
 def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
-    """Steady operator K as CSR, laid out from its block rows.
+    """Steady operator K as CSR, laid out from its 5-node grid form.
 
-    Block row i holds five dense BSR blocks, nodes 2..N-3 repeating the
-    interior row; exact zeros, within a block or where terms cancel, are
-    not stored.
+    Block row i is a row of the grid form, five dense BSR blocks from
+    column node clip(i - 2, 0, N - 5), nodes 2..N-3 repeating the middle
+    row; exact zeros, within a block or where terms cancel, are not stored.
     """
     N, m = cfg.n_grid, sys.size
-    rows = _block_rows(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[0], m)
+    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[0], m, 5)
     which = np.r_[0, 1, np.full(N - 4, 2), 3, 4]
-    start = _window_start(np.arange(N), N)
-    K = sp.bsr_matrix((rows[which].reshape(5 * N, m, m),
+    start = np.clip(np.arange(N) - 2, 0, N - 5)
+    K = sp.bsr_matrix((Z.transpose(0, 2, 1, 3)[which].reshape(5 * N, m, m),
                        (start[:, None] + np.arange(5)).ravel(),
                        5 * np.arange(N + 1)), shape=(N * m, N * m)).tocsr()
     K.eliminate_zeros()
@@ -640,58 +635,53 @@ class MarchResult:
 
 
 def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
-    """March operator M and source b, in block-row form: (W, edges, b).
+    """March operator M, as its 13-node grid form Z, and source b: (Z, b).
 
-    W is the (5m, m) transpose of the block row that nodes 2..N-3 share
-    over node offsets -2..+2.  edges is (E_lo, E_hi): the (2m, 4m) block
-    rows of nodes 0, 1 over column nodes 0..3 and of nodes N-2, N-1 over
-    column nodes N-4..N-1.
+    13 nodes, not the 5 that fix M, so that the cubic in M that
+    _step_operator folds from Z is fixed by it too.
     """
     m, n_o, N = sys.size, sys.n_o, cfg.n_grid
-    rows = _block_rows(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[1], m)
-    W = np.concatenate(rows[2], axis=1).T.copy()
-    # nodes 0 and 1 (N-2 and N-1) leave their window's last (first) block zero
-    edges = (rows[0:2, :4].transpose(0, 2, 1, 3).reshape(2 * m, 4 * m),
-             rows[3:5, 1:].transpose(0, 2, 1, 3).reshape(2 * m, 4 * m))
+    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[1], m, 13)
 
     F = source_vector(sys.basis, cfg.source_amplitude, cfg.grid())
     b = F.ravel().copy()
     for node, bc in ((0, bc_lower), (N - 1, bc_upper)):
         b[node * m:node * m + n_o] = bc.gain() @ F[node, n_o:]
-    return W, edges, b
+    return Z, b
 
 
-def _block_toeplitz_apply(W, edges, N: int, states: np.ndarray):
-    """Bind an operator D in block-row form to a set of state buffers.
+def _block_toeplitz_apply(Z, N: int, states: np.ndarray):
+    """Bind an operator D in grid form (_grid_operator) to state buffers.
 
-    W is the (w m, m) transpose of the block row that nodes k..N-1-k share
-    over node offsets -k..+k, w = 2k + 1 = W.shape[0] // m; edges is
-    (E_lo, E_hi), the (k m, 2k m) block rows of the k nodes nearest each
-    wall over the 2k column nodes nearest it.  states is an (n, N m)
-    array, each row one state buffer with unit element stride.  The
-    interior nodes are grouped into super-nodes of b consecutive nodes,
-    b = 4 for m <= 16 and 2 above, so that one GEMM row writes b nodes and
-    BLAS sees b m columns rather than m.  Super-node s, nodes
-    k + sb .. k + sb + b - 1, is the window of nodes sb .. sb + b - 1 + 2k
-    times the ((b + 2k) m, b m) band that holds W b times, each copy one
-    node lower.  The windows overlap, so they are first copied into a
-    contiguous buffer, which repeats each state entry 1 + 2k/b times.  The
-    (N - 2k) mod b interior nodes left over next to the upper wall are
-    their own window, a contiguous run of the state, times the band's
-    leading block.  Both walls are one batched matmul over the state's
-    first and last 2k nodes.  The views of every buffer are built here,
-    once.  Returns apply(i, j), which writes D states[i] into states[j].
+    Z is the (w, m, w, m) grid form, read as half-width k = w // 2: W is
+    the (w m, m) transpose of its middle row, the row that nodes k..N-1-k
+    share, and its first and last k rows are those of the k nodes nearest
+    each wall.  states is an (n, N m) array, each row one state buffer with
+    unit element stride.  The interior nodes are grouped into super-nodes
+    of b consecutive nodes, b = 4 for m <= 16 and 2 above, so that one GEMM
+    row writes b nodes and BLAS sees b m columns rather than m.  Super-node
+    s, nodes k + sb .. k + sb + b - 1, is the window of nodes
+    sb .. sb + b - 1 + 2k times the ((b + 2k) m, b m) band that holds W b
+    times, each copy one node lower.  The windows overlap, so they are
+    first copied into a contiguous buffer, which repeats each state entry
+    1 + 2k/b times.  The (N - 2k) mod b interior nodes left over next to
+    the upper wall are their own window, a contiguous run of the state,
+    times the band's leading block.  Both walls are one batched matmul over
+    the state's first and last 2k nodes.  The views of every buffer are
+    built here, once.  Returns apply(i, j), which writes D states[i] into
+    states[j].
     """
-    m = W.shape[1]
-    w = W.shape[0] // m
+    w, m = Z.shape[:2]
     k = w // 2
+    W = Z[k].reshape(m, w * m).T.copy()
+    # nodes 0..k-1 (N-k..N-1) reach only column nodes 0..2k-1 (N-2k..N-1)
+    E = np.stack([Z[:k, :, :-1], Z[k + 1:, :, 1:]]).reshape(2, k * m, 2 * k * m)
     b = 4 if m <= 16 else 2
     rows, left = divmod(N - 2 * k, b)
     band = np.zeros(((b + 2 * k) * m, b * m))
     for j in range(b):
         band[j * m:(j + w) * m, j * m:(j + 1) * m] = W
     tail = band[:(left + 2 * k) * m, :left * m].copy()
-    E = np.stack(edges)
     window = np.empty((rows, (b + 2 * k) * m))
     n, (step, item) = len(states), states.strides
     windows = list(np.lib.stride_tricks.as_strided(
@@ -716,25 +706,17 @@ def _block_toeplitz_apply(W, edges, N: int, states: np.ndarray):
     return apply
 
 
-def _step_operator(W, edges, b, dt: float, N: int):
-    """One SSP-RK3 step of d u/dt = M u + b as u -> R u + r, block-row form.
+def _step_operator(Z, b, dt: float, N: int):
+    """One SSP-RK3 step of d u/dt = M u + b as u -> R u + r, in grid form.
 
     For a linear, time-invariant system the three stages are exactly
-    R = I + dt M + (dt M)^2 / 2 + (dt M)^3 / 6 and
-    r = dt (I + dt M / 2 + (dt M)^2 / 6) b.  M (W, edges) spans node
-    offsets -2..+2, so R spans -6..+6: nodes 6..N-7 share one block row,
-    and the rows of the six nodes nearest each wall reach the twelve
-    nearest it.  All of them are fixed by M on a 13-node grid, which is
-    laid out densely, raised to R by Horner's rule and cut into the
-    (13m, m) row and the (6m, 12m) edges.  Returns (WR, edges_R, r).
+    R = I + dt M T and r = dt T b, T = I + dt M / 2 + (dt M)^2 / 6.  M
+    spans node offsets -2..+2, so R spans -6..+6 and T -4..+4, and M's
+    13-node grid form Z fixes theirs, and Horner's rule raises both from
+    it.  Returns (R, r), R as its 13-node grid form.
     """
-    m = W.shape[1]
-    n = 13
-    Z = np.zeros((n * m, n * m))
-    for i in range(2, n - 2):
-        Z[i * m:(i + 1) * m, (i - 2) * m:(i + 3) * m] = W.T
-    Z[:2 * m, :4 * m], Z[-2 * m:, -4 * m:] = edges
-    Z *= dt
+    n, m = Z.shape[:2]
+    Z = Z.reshape(n * m, n * m) * dt
     R = Z / 3.0
     R.flat[::n * m + 1] += 1.0
     T = Z @ R
@@ -742,17 +724,10 @@ def _step_operator(W, edges, b, dt: float, N: int):
     T.flat[::n * m + 1] += 1.0
     np.matmul(Z, T, out=R)
     R.flat[::n * m + 1] += 1.0
-    WR = R[6 * m:7 * m].T.copy()
-    edges_R = (R[:6 * m, :12 * m].copy(), R[7 * m:, m:].copy())
 
-    # rows b, M b, M^2 b
-    powers = np.zeros((3, b.size))
-    powers[0] = b
-    apply_M = _block_toeplitz_apply(W, edges, N, powers)
-    apply_M(0, 1)
-    apply_M(1, 2)
-    r = dt * (b + dt / 2.0 * (powers[1] + dt / 3.0 * powers[2]))
-    return WR, edges_R, r
+    states = np.stack([b, np.empty_like(b)])
+    _block_toeplitz_apply(T.reshape(n, m, n, m), N, states)(0, 1)
+    return R.reshape(n, m, n, m), dt * states[1]
 
 
 def _parity_classes(bs: BasisSet, normal_axis: str) -> list:
@@ -769,44 +744,28 @@ def _parity_classes(bs: BasisSet, normal_axis: str) -> list:
     return [np.flatnonzero((signs == key).all(axis=1)) for key in keys]
 
 
-def _march_blocks(W, edges):
-    """The m x m blocks of M: (w, m, m) of the shared row over node
-    offsets, and (2, 2, 4, m, m) of the edges over (wall, row node,
-    column node)."""
-    m = W.shape[1]
-    rows = W.reshape(-1, m, m).transpose(0, 2, 1)
-    ends = np.stack(edges).reshape(2, 2, m, 4, m).transpose(0, 1, 3, 2, 4)
-    return rows, ends
-
-
-def _decoupling_defect(W, edges, classes) -> float:
-    """Largest entry of M between two parity classes, over max|M|."""
-    label = np.empty(W.shape[1], dtype=int)
+def _decoupling_defect(Z, classes) -> float:
+    """Largest entry of M (grid form Z) between parity classes, over max|M|."""
+    label = np.empty(Z.shape[1], dtype=int)
     for c, idx in enumerate(classes):
         label[idx] = c
     cross = label[:, None] != label
-    rows, ends = _march_blocks(W, edges)
-    dropped = max(np.abs(rows[..., cross]).max(initial=0.0),
-                  np.abs(ends[..., cross]).max(initial=0.0))
-    return float(dropped / max(np.abs(rows).max(), np.abs(ends).max()))
+    dropped = np.abs(Z.transpose(0, 2, 1, 3)[..., cross]).max(initial=0.0)
+    return float(dropped / np.abs(Z).max())
 
 
-def _class_operator(W, edges, b, idx, L):
-    """The block of M (W, edges) and b on the moments idx, in the
+def _class_operator(Z, b, idx, L):
+    """The block of M (grid form Z) and b on the moments idx, in the
     S-orthonormal variables w = L^T u of that class, S_c = L L^T.
 
     Every m_c x m_c block B becomes L^T B L^-T and every node vector of b
     L^T b, so the march keeps its form and the class energy u^T S_c u is
-    |w|^2.  Returns (W_c, edges_c, b_c) in the layout of _march_operator.
+    |w|^2.  Returns (Z_c, b_c), Z_c in grid form.
     """
-    m_c = idx.size
     T, T_inv = L.T, np.linalg.inv(L).T
-    rows, ends = (T @ B[..., idx[:, None], idx] @ T_inv
-                  for B in _march_blocks(W, edges))
-    W_c = rows.transpose(0, 2, 1).reshape(-1, m_c)
-    E_c = ends.transpose(0, 1, 3, 2, 4).reshape(2, 2 * m_c, 4 * m_c)
-    b_c = b.reshape(-1, W.shape[1])[:, idx] @ L
-    return W_c, (E_c[0], E_c[1]), b_c.ravel()
+    blocks = T @ Z.transpose(0, 2, 1, 3)[..., idx[:, None], idx] @ T_inv
+    b_c = b.reshape(-1, Z.shape[1])[:, idx] @ L
+    return blocks.transpose(0, 2, 1, 3), b_c.ravel()
 
 
 def _apply_wall_state(alpha, bc_upper, bc_lower, wall, n_o):
@@ -877,9 +836,9 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     dt = t_final / steps
 
     start = time.perf_counter()
-    W, edges, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
+    Z, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
     classes = _parity_classes(sys.basis, sys.normal_axis)
-    defect = _decoupling_defect(W, edges, classes)
+    defect = _decoupling_defect(Z, classes)
     # each row holds the classes side by side, class c as its (N, m_c)
     # state in S-orthonormal variables; row _BATCH + 1 is scratch
     U = np.empty((_BATCH + 2, N * m))
@@ -889,9 +848,8 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     factors, appliers = [], []
     for idx, seg in zip(classes, segments):
         L = np.linalg.cholesky(sys.S[np.ix_(idx, idx)])
-        WR, edges_R, r[seg] = _step_operator(
-            *_class_operator(W, edges, b, idx, L), dt, N)
-        appliers.append(_block_toeplitz_apply(WR, edges_R, N, U[:, seg]))
+        R, r[seg] = _step_operator(*_class_operator(Z, b, idx, L), dt, N)
+        appliers.append(_block_toeplitz_apply(R, N, U[:, seg]))
         U[0, seg] = (alpha[:, idx] @ L).ravel()
         factors.append(L)
     driven = bool(np.any(r))

@@ -241,7 +241,6 @@ def _channel_config(args: argparse.Namespace, **source) -> ChannelConfig:
     """The channel options as a ChannelConfig; its range checks are usage errors."""
     theory = resolve_theory(args)
     with _usage_errors():
-        accommodation_gain(args.chi)
         return ChannelConfig(theory=theory, kn=args.kn, chi=args.chi,
                              bc_kind=args.bc, n_grid=args.grid, **source)
 

@@ -14,7 +14,7 @@ from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
                               WALL_TEMP_COEFF, ChannelConfig,
                               _apply_wall_state, _block_toeplitz_apply,
                               _class_operator, _decoupling_defect, _deflation,
-                              _march_operator, _operator_terms,
+                              _grid_operator, _march_operator, _operator_terms,
                               _parity_classes, _pencil_modes, _phi,
                               _polynomial_part, _steady_operator,
                               _step_operator, extract_fields,
@@ -48,6 +48,12 @@ def test_config_validation():
         make_config(n_grid=8)
     with pytest.raises(ValueError):
         make_config(bc_kind="diffuse")
+    with pytest.raises(ValueError):
+        make_config(chi=0.0)
+    with pytest.raises(ValueError):
+        make_config(chi=1.5)
+    with pytest.raises(ValueError):
+        make_config(n_grid=20.5)
 
 
 def test_config_grid():
@@ -134,11 +140,11 @@ def kron_oracle(terms, N):
     return total
 
 
-def apply_block_rows(W, edges, N, u):
-    """D u for an operator D in block-row form, through
+def apply_grid(Z, N, u):
+    """D u for an operator D in grid form, through
     _block_toeplitz_apply bound to the buffers [u, out]."""
     states = np.stack([u, np.full_like(u, np.nan)])
-    _block_toeplitz_apply(W, edges, N, states)(0, 1)
+    _block_toeplitz_apply(Z, N, states)(0, 1)
     return states[1]
 
 
@@ -176,7 +182,7 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
     args = _operator_setup(cfg, sys_)
     bc_upper, bc_lower = args[2:4]
     K = _steady_operator(*args)
-    W, edges, _ = _march_operator(*args)
+    Z, _ = _march_operator(*args)
     assert K.shape == (N * m, N * m)
     y = cfg.grid()
     A = sys_.A["y"]
@@ -188,7 +194,7 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
         slope = b + curvature * 2.0 * np.outer(y, c)
         exact = slope @ A.T + alpha @ P.T
         steady = (K @ alpha.ravel()).reshape(N, m)
-        march = apply_block_rows(W, edges, N, alpha.ravel()).reshape(N, m)
+        march = apply_grid(Z, N, alpha.ravel()).reshape(N, m)
         assert np.abs(steady[1:-1] - exact[1:-1]).max() < 1e-9
         assert np.abs(march[inner] + exact[inner]).max() < 1e-9
         for bc, node in ((bc_lower, 0), (bc_upper, N - 1)):
@@ -506,18 +512,21 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
     sys_ = cached_system(degree, normal="y", axes=("y",))
     cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
     M, args = _march_oracle(cfg, sys_)
-    W, edges, _ = _march_operator(*args)
     rng = np.random.default_rng(11)
-    # the operator bound once to a set of buffers, applied between them
-    states = rng.standard_normal((4, n_grid * sys_.size))
-    apply = _block_toeplitz_apply(W, edges, n_grid, states)
-    for i, j in ((0, 1), (2, 3), (1, 0)):
-        u = states[i].copy()
-        states[j] = np.nan
-        apply(i, j)
-        assert np.array_equal(states[i], u)
-        out, ref = states[j], M @ u
-        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+    # M from its 5-node grid form (k = 2) and from the 13-node one that the
+    # march folds (k = 6), each bound once to a set of buffers and applied
+    # between them
+    for Z in (_grid_operator(_operator_terms(*args)[1], sys_.size, 5),
+              _march_operator(*args)[0]):
+        states = rng.standard_normal((4, n_grid * sys_.size))
+        apply = _block_toeplitz_apply(Z, n_grid, states)
+        for i, j in ((0, 1), (2, 3), (1, 0)):
+            u = states[i].copy()
+            states[j] = np.nan
+            apply(i, j)
+            assert np.array_equal(states[i], u)
+            out, ref = states[j], M @ u
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
@@ -533,11 +542,11 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     sys_ = cached_system(degree, normal="y", axes=("y",))
     cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
     M, args = _march_oracle(cfg, sys_)
-    W, edges, b = _march_operator(*args)
+    Z, b = _march_operator(*args)
     h = cfg.grid()[1] - cfg.grid()[0]
     dt = 0.4 * h / args[4].max_speed
-    WR, edges_R, r = _step_operator(W, edges, b, dt, n_grid)
-    assert WR.shape == (13 * sys_.size, sys_.size)
+    R, r = _step_operator(Z, b, dt, n_grid)
+    assert R.shape == (13, sys_.size, 13, sys_.size)
 
     def poly(v, coeffs):
         out, z = coeffs[0] * v, v
@@ -549,7 +558,7 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     rng = np.random.default_rng(12)
     for _ in range(3):
         u = rng.standard_normal(n_grid * sys_.size)
-        out = apply_block_rows(WR, edges_R, n_grid, u)
+        out = apply_grid(R, n_grid, u)
         ref = poly(u, (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0))
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
     ref_r = dt * poly(b, (1.0, 1.0 / 2.0, 1.0 / 6.0))
@@ -558,12 +567,11 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     m = sys_.size
     for idx in _parity_classes(sys_.basis, "y"):
         L = np.linalg.cholesky(sys_.S[np.ix_(idx, idx)])
-        WR_c, edges_c, r_c = _step_operator(*_class_operator(W, edges, b, idx, L),
-                                            dt, n_grid)
-        assert WR_c.shape == (13 * idx.size, idx.size)
+        R_c, r_c = _step_operator(*_class_operator(Z, b, idx, L), dt, n_grid)
+        assert R_c.shape == (13, idx.size, 13, idx.size)
         u = np.zeros((n_grid, m))
         u[:, idx] = rng.standard_normal((n_grid, idx.size))
-        out = apply_block_rows(WR_c, edges_c, n_grid, (u[:, idx] @ L).ravel())
+        out = apply_grid(R_c, n_grid, (u[:, idx] @ L).ravel())
         ref = poly(u.ravel(), (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0)).reshape(n_grid, m)[:, idx] @ L
         assert np.abs(out - ref.ravel()).max() <= 1e-14 * np.abs(ref).max()
         ref = ref_r.reshape(n_grid, m)[:, idx] @ L
@@ -582,7 +590,7 @@ def test_march_operator_parity_classes(degree, reduction, bc_kind, chi):
     sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
     cfg = make_config(theory=grad_theory(degree, reduction), n_grid=16,
                       bc_kind=bc_kind, chi=chi)
-    W, edges, b = _march_operator(*_operator_setup(cfg, sys_))
+    Z, b = _march_operator(*_operator_setup(cfg, sys_))
     classes = _parity_classes(sys_.basis, "y")
     m = sys_.size
     assert len(classes) == (2 if reduction == "planar" else 4)
@@ -597,14 +605,11 @@ def test_march_operator_parity_classes(degree, reduction, bc_kind, chi):
         assert all(np.all(sign == sign[0]) for sign in signs)
         assert (c == 0) == all(sign[0] == 1.0 for sign in signs)
     cross = label[:, None] != label
-    # W[o m + j, i] and the edges' [row node, i, column node, j]
-    W_cross = W.reshape(-1, m, m)[:, cross.T]
-    E_cross = np.concatenate([E.reshape(2, m, 4, m).transpose(0, 2, 1, 3)[..., cross]
-                              for E in edges])
-    scale = max(np.abs(W).max(), max(np.abs(E).max() for E in edges))
-    dropped = max(np.abs(W_cross).max(), np.abs(E_cross).max())
+    # Z[row node, i, column node, j]
+    scale = np.abs(Z).max()
+    dropped = max(np.abs(Z[i, :, j][cross]).max() for i in range(13) for j in range(13))
     assert dropped <= 1e-14 * scale
-    assert _decoupling_defect(W, edges, classes) == dropped / scale
+    assert _decoupling_defect(Z, classes) == dropped / scale
     assert np.all(sys_.S[cross] == 0.0)
     outside = np.setdiff1d(np.arange(m), classes[0])
     assert np.all(b.reshape(16, m)[:, outside] == 0.0)
@@ -637,7 +642,7 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
     """time_march_energy over a horizon of `steps` steps, and _csr_march
     from the same initial state."""
     M, args = _march_oracle(cfg, sys_)
-    b = _march_operator(*args)[2]
+    b = _march_operator(*args)[1]
     bc_upper, bc_lower, dec = args[2:]
     N, m = cfg.n_grid, sys_.size
     h = cfg.grid()[1] - cfg.grid()[0]
