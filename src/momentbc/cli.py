@@ -21,10 +21,11 @@ Exit codes: 0 success; 1 usage or configuration error, which includes an
 unknown option or config key, a missing --theory, a malformed --m or
 --scan-chi, --m with a named theory, --bc with --scan-chi, an unknown
 theory, kn, cfl or t_final not finite and positive, grid < 16, chi
-outside (0, 1] and a negative seed; 2 numerical verification failure.
-Reports are JSON on stdout and embed the library version and, as
-"config", the subcommand's resolved options: what ran.  Output paths
-resolve against MOMENTBC_OUTDIR when set.
+outside (0, 1], a negative seed, an unreadable input, an unwritable
+output and a malformed compare CSV; 2 numerical verification failure.
+Each command returns its report, and main emits it as JSON on stdout
+with the library version and, as "config", the subcommand's resolved
+options: what ran.  Output paths resolve against MOMENTBC_OUTDIR when set.
 """
 
 from __future__ import annotations
@@ -139,16 +140,6 @@ def _energy_march_options(p):
     p.add_argument("--out", help="CSV path for the (t, energy) trace")
 
 
-# subcommand: (help, takes a theory, its own options)
-_SUBCOMMANDS = {
-    "assemble": ("assemble and verify one moment system", True, _assemble_options),
-    "check-stability": ("boundary admissibility report", True, _check_stability_options),
-    "solve-channel": ("steady heated-channel solve", True, _solve_channel_options),
-    "compare": ("join two channel CSVs, emit error columns", False, _compare_options),
-    "energy-march": ("explicit march with energy trace", True, _energy_march_options),
-}
-
-
 def build_parser(chosen: str = None) -> _Parser:
     """The parser of every subcommand, or, when chosen names one, of that
     one alone, which is all a command line that starts with chosen can
@@ -157,7 +148,7 @@ def build_parser(chosen: str = None) -> _Parser:
     parser = _Parser(prog="momentbc", description=__doc__.splitlines()[0])
     every = None if chosen is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=every)
-    for name, (help, theory, options) in _SUBCOMMANDS.items():
+    for name, (help, theory, options, _) in _SUBCOMMANDS.items():
         if chosen not in (None, name):
             continue
         p = sub.add_parser(name, help=help)
@@ -245,13 +236,25 @@ def _channel_config(args: argparse.Namespace, **source) -> ChannelConfig:
                              bc_kind=args.bc, n_grid=args.grid, **source)
 
 
-def _report(args: argparse.Namespace, payload: dict) -> dict:
-    return {"version": __version__, "config": vars(args), **payload}
-
-
 def _emit(report: dict):
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Equal-length float columns as CSV in the csv module's default
+    dialect.  No header name or FLOAT_FMT value holds a comma, quote or
+    line break, so nothing needs quoting.  The columns are interleaved
+    into one flat list and formatted 1024 rows at a time, each block by a
+    single %, so that only one block's text is held at once."""
+    width = len(columns)
+    flat = np.column_stack(columns).ravel().tolist()
+    row = ",".join([FLOAT_FMT] * width) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(flat), 1024 * width):
+            block = tuple(flat[start:start + 1024 * width])
+            fh.write((row * (len(block) // width)) % block)
 
 
 def _write_matrix(M: np.ndarray, out: str):
@@ -264,7 +267,7 @@ def _write_matrix(M: np.ndarray, out: str):
         sys.stdout.write(text)
 
 
-def cmd_assemble(args: argparse.Namespace) -> int:
+def cmd_assemble(args: argparse.Namespace) -> dict | None:
     theory = resolve_theory(args)
     sys_ = assemble_system(theory, normal_axis=args.normal_axis, axes=("x", "y", "z"))
     orth = verify_orthogonality(sys_.basis)
@@ -283,8 +286,8 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         matrices = {"s-matrix": sys_.S, "a-x": sys_.A["x"], "a-y": sys_.A["y"],
                     "a-z": sys_.A["z"], "p-bgk": sys_.P_bgk}
         _write_matrix(matrices[args.dump], args.out)
-        return 0
-    _emit(_report(args, {
+        return None
+    return {
         "theory": theory.name,
         "reduction": theory.reduction,
         "moments": sys_.size,
@@ -298,8 +301,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
             "flux_asymmetry": {ax: r.max_asymmetry for ax, r in sym.items()},
             "symmetrizer_min_eig": float(s_eigs.min()),
         },
-    }))
-    return 0
+    }
 
 
 def _stability_payload(sys_, dec, kind, chi) -> dict:
@@ -313,8 +315,7 @@ def _stability_payload(sys_, dec, kind, chi) -> dict:
         "kernel_residual": rep.kernel_residual,
         "min_schur_eig": rep.min_schur_eig,
         "reflection_cond": rep.reflection_cond,
-        "details": {k: (v if not isinstance(v, np.generic) else v.item())
-                    for k, v in rep.details.items()},
+        "details": rep.details,
         "obc_diagnostics": dict(bc.diagnostics),
     }
 
@@ -335,7 +336,7 @@ def _combined_stability(sys_, dec, chi) -> dict:
     }
 
 
-def cmd_check_stability(args: argparse.Namespace) -> int:
+def cmd_check_stability(args: argparse.Namespace) -> dict:
     theory = resolve_theory(args)
     chis = [args.chi]
     if args.scan_chi:
@@ -348,7 +349,7 @@ def cmd_check_stability(args: argparse.Namespace) -> int:
             raise UsageError("--scan-chi needs at least one sample")
         chis = [float(c) for c in np.linspace(a, b, n)]
     with _usage_errors():
-        for chi in chis:
+        for chi in (args.chi, *chis):
             accommodation_gain(chi)
     axis = args.normal_axis
     sys_ = assemble_system(theory, normal_axis=axis, axes=(axis,))
@@ -361,25 +362,10 @@ def cmd_check_stability(args: argparse.Namespace) -> int:
     else:
         payload = _combined_stability(sys_, dec, args.chi)
     payload["theory"] = theory.name
-    _emit(_report(args, payload))
-    return 0
+    return payload
 
 
-def _write_channel_csv(path: str, sol, names) -> list:
-    cols = ["y"] + list(sol.fields.keys())
-    arrays = [sol.y] + [sol.fields[k] for k in sol.fields]
-    if sol.alpha is not None:
-        cols += names
-        arrays += [sol.alpha[:, j] for j in range(sol.alpha.shape[1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(sol.y.size):
-            writer.writerow([FLOAT_FMT % a[i] for a in arrays])
-    return cols
-
-
-def cmd_solve_channel(args: argparse.Namespace) -> int:
+def cmd_solve_channel(args: argparse.Namespace) -> dict:
     channel_cfg = _channel_config(args)
     theory = channel_cfg.theory
     if args.reference:
@@ -388,28 +374,34 @@ def cmd_solve_channel(args: argparse.Namespace) -> int:
                              for tok in args.reference.split(","))
         sol = reference_solution(channel_cfg, theories)
         solved = ",".join(th.name for th in theories)
-        names = []
+        names, modes = [], []
     else:
         sys_ = assemble_system(theory, normal_axis="y", axes=("y",))
         sol = solve_steady(channel_cfg, sys=sys_)
         solved = theory.name
-        names = sys_.basis.names()
+        names, modes = sys_.basis.names(), sol.alpha.T
     payload = {"theory": solved, "reduction": theory.reduction,
                "diagnostics": sol.diagnostics}
     if args.out:
-        payload["columns"] = _write_channel_csv(_outpath(args.out), sol, names)
+        header = ["y", *sol.fields, *names]
+        _write_csv(_outpath(args.out), header, [sol.y, *sol.fields.values(), *modes])
+        payload["columns"] = header
         payload["out"] = args.out
-    _emit(_report(args, payload))
-    return 0
+    return payload
 
 
 def _read_channel_csv(path: str) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(tok) for tok in row] for row in reader if row]
-    data = np.array(rows)
-    return {name: data[:, j] for j, name in enumerate(header)}
+    """A CSV's columns by header name.  Anything but a header over one or
+    more rows of numbers, each as long as the header, is a usage error."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("want a header over equal-length rows")
+        data = np.array([[float(tok) for tok in row] for row in rows[1:]])
+    except (ValueError, csv.Error) as exc:
+        raise UsageError(f"malformed CSV {path}: {exc}")
+    return {name: data[:, j] for j, name in enumerate(rows[0])}
 
 
 _GNUPLOT = """\
@@ -431,7 +423,7 @@ unset multiplot
 """
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> dict:
     left = _read_channel_csv(_outpath(args.left))
     right = _read_channel_csv(_outpath(args.right))
     for col in ("y", "theta", "sigma_yy"):
@@ -449,50 +441,29 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     if out:
         out = _outpath(out)
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "theta_left", "theta_right",
-                            "sigma_yy_left", "sigma_yy_right",
-                            "e_theta", "e_sigma"])
-            for i in range(left["y"].size):
-                writer.writerow([FLOAT_FMT % v for v in (
-                    left["y"][i], left["theta"][i], right["theta"][i],
-                    left["sigma_yy"][i], right["sigma_yy"][i],
-                    e_theta[i], e_sigma[i])])
+        _write_csv(out, ["y", "theta_left", "theta_right", "sigma_yy_left",
+                         "sigma_yy_right", "e_theta", "e_sigma"],
+                   [left["y"], left["theta"], right["theta"], left["sigma_yy"],
+                    right["sigma_yy"], e_theta, e_sigma])
         payload["out"] = out
         if args.plot:
             plot = _outpath(args.plot)
             with open(plot, "w") as fh:
                 fh.write(_GNUPLOT.format(csv=out, png=out + ".png"))
             payload["plot"] = plot
-    _emit(_report(args, payload))
-    return 0
+    return payload
 
 
-def _write_trace_csv(path: str, times, energy) -> None:
-    """The (t, energy) trace as CSV, in the csv module's default dialect.
-    The times and energies are interleaved into one flat list and
-    formatted 1024 rows at a time, each block by a single %, so that only
-    one block's text is held at once."""
-    flat = np.column_stack([times, energy]).ravel().tolist()
-    row = f"{FLOAT_FMT},{FLOAT_FMT}\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("t,energy\r\n")
-        for start in range(0, len(flat), 2048):
-            block = tuple(flat[start:start + 2048])
-            fh.write((row * (len(block) // 2)) % block)
-
-
-def cmd_energy_march(args: argparse.Namespace) -> int:
+def cmd_energy_march(args: argparse.Namespace) -> dict:
     quiet = {"wall_temp": 0.0, "source_amplitude": 0.0} if args.homogeneous else {}
     channel_cfg = _channel_config(args, **quiet)
     res = time_march_energy(channel_cfg, t_final=args.t_final, cfl=args.cfl,
                             init=args.init, seed=args.seed)
     if args.out:
-        _write_trace_csv(_outpath(args.out), res.times, res.energy)
+        _write_csv(_outpath(args.out), ["t", "energy"], [res.times, res.energy])
     e0 = float(res.energy[0])
     steps = int(res.times.size - 1)
-    _emit(_report(args, {
+    return {
         "theory": channel_cfg.theory.name,
         "dt": res.dt,
         "steps": steps,
@@ -507,16 +478,21 @@ def cmd_energy_march(args: argparse.Namespace) -> int:
         "timings": {"operator_s": res.operator_s,
                     "march_s": res.march_s,
                     "step_us": 1e6 * res.march_s / steps},
-    }))
-    return 0
+    }
 
 
-_COMMANDS = {
-    "assemble": cmd_assemble,
-    "check-stability": cmd_check_stability,
-    "solve-channel": cmd_solve_channel,
-    "compare": cmd_compare,
-    "energy-march": cmd_energy_march,
+# subcommand: (help, takes a theory, its own options, its command)
+_SUBCOMMANDS = {
+    "assemble": ("assemble and verify one moment system", True,
+                 _assemble_options, cmd_assemble),
+    "check-stability": ("boundary admissibility report", True,
+                        _check_stability_options, cmd_check_stability),
+    "solve-channel": ("steady heated-channel solve", True,
+                      _solve_channel_options, cmd_solve_channel),
+    "compare": ("join two channel CSVs, emit error columns", False,
+                _compare_options, cmd_compare),
+    "energy-march": ("explicit march with energy trace", True,
+                     _energy_march_options, cmd_energy_march),
 }
 
 
@@ -530,13 +506,16 @@ def main(argv=None) -> int:
         return 0
     try:
         args = parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
+        payload = _SUBCOMMANDS[args.subcommand][3](args)
+    except (UsageError, OSError) as exc:
         print(f"momentbc: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"momentbc: numerical verification failure: {exc}", file=sys.stderr)
         return 2
+    if payload is not None:
+        _emit({"version": __version__, "config": vars(args), **payload})
+    return 0
 
 
 if __name__ == "__main__":

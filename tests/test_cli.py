@@ -2,6 +2,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,11 +11,14 @@ import numpy as np
 import pytest
 
 import momentbc
-from momentbc.cli import FLOAT_FMT, _write_trace_csv, build_parser, main
+from momentbc.basis import build_basis_set
+from momentbc.cli import FLOAT_FMT, _write_csv, build_parser, main, parse_args
+from momentbc.system import theory_from_name
 
 from conftest import cached_system
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +123,14 @@ def test_assemble_dump_to_stdout(capsys):
     ("solve-channel", {"theory": "G20", "kn": 0}),
     ("energy-march", {"theory": "G20", "grid": False}),
     ("compare", "a.csv", "b.csv", {"theory": "G20"}),
+    # --chi is checked even when --scan-chi gives the samples
+    ("check-stability", "--theory", "G20", "--scan-chi", "0.2:1.0:2", "--chi", "5"),
+    # files the command cannot open: one error line, not a traceback
+    ("assemble", "--theory", "G20", "--dump", "s-matrix", "--out", "missing-dir/S.csv"),
+    ("solve-channel", "--theory", "G20", "--grid", "16", "--out", "missing-dir/chan.csv"),
+    ("energy-march", "--theory", "G20", "--grid", "16", "--t-final", "0.01",
+     "--out", "missing-dir/trace.csv"),
+    ("compare", "missing-dir/left.csv", "missing-dir/right.csv"),
 ])
 def test_usage_errors_exit_one(capsys, tmp_path, argv):
     cfg = tmp_path / "cfg.json"
@@ -270,16 +283,29 @@ def test_compare_reports_errors(capsys, tmp_path):
     assert str(joined) in script
 
 
-def test_compare_grid_mismatch_exits_one(capsys, tmp_path):
+@pytest.mark.parametrize("corrupt, message", [
+    (None, "inputs live on different grids"),
+    (lambda cells: cells[:-1], "want a header over equal-length rows"),
+    (lambda cells: ["x"] + cells[1:], "could not convert string to float: 'x'"),
+], ids=["different-grids", "ragged-row", "non-numeric-cell"])
+def test_compare_grid_mismatch_exits_one(capsys, tmp_path, corrupt, message):
     left = tmp_path / "left.csv"
     right = tmp_path / "right.csv"
     run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "48",
              "--out", str(left))
-    run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "32",
-             "--out", str(right))
+    if corrupt is None:
+        run_json(capsys, "solve-channel", "--theory", "G20", "--grid", "32",
+                 "--out", str(right))
+    else:
+        # the left file with one data row's cells corrupted
+        lines = left.read_text().splitlines()
+        lines[5] = ",".join(corrupt(lines[5].split(",")))
+        right.write_text("\n".join(lines) + "\n")
     rc, _, err = run_cli(capsys, "compare", str(left), str(right))
     assert rc == 1
-    assert "different grids" in err
+    assert message in err
+    if corrupt is not None:
+        assert f"malformed CSV {right}" in err
 
 
 def test_energy_march_trace(capsys, tmp_path):
@@ -304,31 +330,52 @@ def test_energy_march_trace(capsys, tmp_path):
     assert np.all(np.diff(data[:, 1]) <= 1e-9)
 
 
-def test_trace_csv_matches_csv_writer(tmp_path):
+def csv_header(shape):
+    """The header of each kind of CSV the CLI writes."""
+    if shape == "trace":
+        return ["t", "energy"]
+    if shape == "compare":
+        return ["y", "theta_left", "theta_right", "sigma_yy_left", "sigma_yy_right",
+                "e_theta", "e_sigma"]
+    names = build_basis_set(theory_from_name("G120"), normal_axis="y").names()
+    return ["y", "rho", "v_y", "theta", "sigma_yy", "q_y", *names]
+
+
+CSV_SHAPES = ("trace", "compare", "channel")
+
+
+@pytest.mark.parametrize("shape", CSV_SHAPES)
+def test_trace_csv_matches_csv_writer(tmp_path, shape):
+    header = csv_header(shape)
     rng = np.random.default_rng(6)
-    times = np.linspace(0.0, 10.0, 300)
-    energy = np.r_[rng.standard_normal(295) * 10.0 ** rng.integers(-300, 300, 295),
-                   0.0, -0.0, np.inf, np.nan, 1e-310]
+    columns = [np.linspace(0.0, 10.0, 300)]
+    for _ in header[1:]:
+        columns.append(np.r_[rng.standard_normal(295)
+                             * 10.0 ** rng.integers(-300, 300, 295),
+                             0.0, -0.0, np.inf, np.nan, 1e-310])
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "energy"])
-        for t, e in zip(times, energy):
-            writer.writerow([FLOAT_FMT % t, FLOAT_FMT % e])
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([FLOAT_FMT % v for v in row])
     out = tmp_path / "out.csv"
-    _write_trace_csv(str(out), times, energy)
+    _write_csv(str(out), header, columns)
     assert out.read_bytes() == ref.read_bytes()
 
 
-def test_trace_csv_blocks_match_row_by_row(tmp_path):
+@pytest.mark.parametrize("shape", CSV_SHAPES)
+def test_trace_csv_blocks_match_row_by_row(tmp_path, shape):
     # 2,500 rows: two whole 1,024-row blocks of the writer and a partial one
-    times = np.linspace(0.0, 10.0, 2500)
-    energy = np.random.default_rng(7).standard_normal(2500)
+    header = csv_header(shape)
+    rng = np.random.default_rng(7)
+    columns = [np.linspace(0.0, 10.0, 2500)]
+    columns += [rng.standard_normal(2500) for _ in header[1:]]
     out = tmp_path / "out.csv"
-    _write_trace_csv(str(out), times, energy)
-    rows = (f"{FLOAT_FMT},{FLOAT_FMT}\r\n" % te
-            for te in zip(times.tolist(), energy.tolist()))
-    assert out.read_bytes() == ("t,energy\r\n" + "".join(rows)).encode()
+    _write_csv(str(out), header, columns)
+    row = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
+    rows = (row % values for values in zip(*(c.tolist() for c in columns)))
+    assert out.read_bytes() == (",".join(header) + "\r\n" + "".join(rows)).encode()
 
 
 def test_energy_march_reports_blowup_with_exit_zero(capsys):
@@ -423,6 +470,23 @@ def test_config_file_must_be_json_object(capsys, tmp_path):
                          "--theory", "G20")
     assert rc == 1
     assert "JSON object" in err
+
+
+def readme_commands():
+    """Every ``momentbc`` command line in README's fenced sh blocks, its
+    backslash continuations joined, as the argument list after the name."""
+    with open(README) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("momentbc ")]
+
+
+def test_readme_command_lines_parse():
+    # parsed only, not run: a renamed option or subcommand fails here
+    subcommands = [parse_args(argv).subcommand for argv in readme_commands()]
+    assert len(subcommands) == 10
+    assert set(subcommands) == {"assemble", "check-stability", "solve-channel",
+                                "compare", "energy-march"}
 
 
 def declared_scripts():
