@@ -26,12 +26,11 @@ class WallData:
     temp is the coefficient multiplying the scalar temperature basis
     function in the wall Maxwellian (wall temperature deviation equals
     -sqrt(2/3) temp in reference units); velocity maps tangential axes to
-    wall speed coefficients.  chi is the accommodation coefficient.
+    wall speed coefficients.
     """
 
     temp: float = 0.0
     velocity: dict = field(default_factory=dict)
-    chi: float = 1.0
 
 
 def accommodation_gain(chi: float) -> float:

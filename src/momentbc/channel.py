@@ -47,8 +47,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .boundary import WallData, accommodation_gain, make_boundary_operator
-from .system import (MomentSystem, MomentTheory, assemble_system,
-                     characteristic_decomposition, grad_theory)
+from .system import MomentSystem, MomentTheory, assemble_system, grad_theory
 
 
 class _OnFirstUse:
@@ -109,7 +108,7 @@ class ChannelConfig:
         return np.linspace(-0.5, 0.5, self.n_grid)
 
     def wall_data(self) -> WallData:
-        return WallData(temp=self.wall_temp, velocity={}, chi=self.chi)
+        return WallData(temp=self.wall_temp)
 
 
 def source_vector(bs: BasisSet, amplitude: float, y) -> np.ndarray:
@@ -185,7 +184,7 @@ _INTERIOR = ((slice(1, -1), 1, {0: 1}),)
 _WALLS = ((slice(0, 1), 1, {0: 1}), (slice(-1, None), 1, {0: 1}))
 
 
-def _operator_terms(cfg, sys, bc_upper, bc_lower, dec):
+def _operator_terms(cfg, sys, bc_upper, bc_lower):
     """(table, h, block) terms of the steady and of the march operator.
 
     Steady, K alpha = F: d/dy goes through characteristic-biased third-order
@@ -204,7 +203,7 @@ def _operator_terms(cfg, sys, bc_upper, bc_lower, dec):
     h = y[1] - y[0]
     A = sys.A["y"]
     P = sys.P_bgk / cfg.kn
-    A_up, A_dn = dec.split_fluxes
+    A_up, A_dn = sys.characteristic.split_fluxes
     steady = [(_UPWIND3, h, A_up),
               (_DOWNWIND3, h, A_dn),
               (_INTERIOR, 1.0, P),
@@ -238,7 +237,7 @@ def _grid_operator(terms, m: int, n: int) -> np.ndarray:
     return Z
 
 
-def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
+def _steady_operator(cfg, sys, bc_upper, bc_lower) -> sp.csr_matrix:
     """Steady operator K as CSR, laid out from its 5-node grid form.
 
     Block row i is a row of the grid form, five dense BSR blocks from
@@ -246,7 +245,7 @@ def _steady_operator(cfg, sys, bc_upper, bc_lower, dec) -> sp.csr_matrix:
     row; exact zeros, within a block or where terms cancel, are not stored.
     """
     N, m = cfg.n_grid, sys.size
-    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[0], m, 5)
+    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower)[0], m, 5)
     which = np.r_[0, 1, np.full(N - 4, 2), 3, 4]
     start = np.clip(np.arange(N) - 2, 0, N - 5)
     K = sp.bsr_matrix((Z.transpose(0, 2, 1, 3)[which].reshape(5 * N, m, m),
@@ -316,9 +315,7 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
     rho_slots = np.arange(N) * m + bs.index_of(0, 0, ())
     gauge = sp.csr_matrix((np.ones(N), (np.zeros(N, dtype=int), rho_slots)),
                           shape=(1, size))
-    K = sp.bmat([[_steady_operator(cfg, sys, bc_upper, bc_lower,
-                                   characteristic_decomposition(sys)),
-                  gauge.T.tocsr()],
+    K = sp.bmat([[_steady_operator(cfg, sys, bc_upper, bc_lower), gauge.T.tocsr()],
                  [gauge, sp.csr_matrix((1, 1))]], format="csr")
     operator_s = time.perf_counter() - start
     with warnings.catch_warnings():
@@ -368,7 +365,7 @@ def _pencil_modes(sys: MomentSystem):
     unless the heating is orthogonal to S n.  Below 20 moments (G10) it is
     not: n mixes density and temperature, which no heat flux carries.
     """
-    dec = characteristic_decomposition(sys)
+    dec = sys.characteristic
     A_hat = dec.S_half @ sys.A["y"] @ dec.S_half_inv
     A_hat = 0.5 * (A_hat + A_hat.T)
     tol = _RANK_TOL * np.abs(A_hat).max()
@@ -634,14 +631,14 @@ class MarchResult:
         return float((self.energy - running).max())
 
 
-def _march_operator(cfg, sys, bc_upper, bc_lower, dec):
+def _march_operator(cfg, sys, bc_upper, bc_lower):
     """March operator M, as its 13-node grid form Z, and source b: (Z, b).
 
     13 nodes, not the 5 that fix M, so that the cubic in M that
     _step_operator folds from Z is fixed by it too.
     """
     m, n_o, N = sys.size, sys.n_o, cfg.n_grid
-    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower, dec)[1], m, 13)
+    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower)[1], m, 13)
 
     F = source_vector(sys.basis, cfg.source_amplitude, cfg.grid())
     b = F.ravel().copy()
@@ -812,7 +809,6 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     if not (isinstance(record_every, numbers.Integral) and record_every > 0):
         raise ValueError(f"record_every must be a positive integer (got {record_every!r})")
     sys, bc_upper, bc_lower = _channel_system(cfg, sys)
-    dec = characteristic_decomposition(sys)
 
     m = sys.size
     N = cfg.n_grid
@@ -830,13 +826,13 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
         alpha = np.array(init, dtype=float).reshape(N, m)
     alpha = _apply_wall_state(alpha, bc_upper, bc_lower, wall, sys.n_o)
 
-    dt = cfl * h / max(dec.max_speed, 1e-12)
+    dt = cfl * h / max(sys.characteristic.max_speed, 1e-12)
     dt = min(dt, 1.5 * cfg.kn)
     steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / steps
 
     start = time.perf_counter()
-    Z, b = _march_operator(cfg, sys, bc_upper, bc_lower, dec)
+    Z, b = _march_operator(cfg, sys, bc_upper, bc_lower)
     classes = _parity_classes(sys.basis, sys.normal_axis)
     defect = _decoupling_defect(Z, classes)
     # each row holds the classes side by side, class c as its (N, m_c)

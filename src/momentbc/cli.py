@@ -46,8 +46,7 @@ from .boundary import accommodation_gain, make_boundary_operator
 from .channel import (ChannelConfig, reference_solution, solve_steady,
                       time_march_energy)
 from .stability import check_stability
-from .system import (MomentTheory, assemble_system,
-                     characteristic_decomposition, theory_from_name,
+from .system import (MomentTheory, assemble_system, theory_from_name,
                      verify_full_symmetry)
 from .tensor import FULL3D, PLANAR
 
@@ -280,7 +279,7 @@ def cmd_assemble(args: argparse.Namespace) -> dict | None:
     s_eigs = np.linalg.eigvalsh(sys_.S)
     if s_eigs.min() <= 0:
         raise RuntimeError(f"symmetrizer not positive definite ({s_eigs.min():.3e})")
-    dec = characteristic_decomposition(sys_)
+    dec = sys_.characteristic
 
     if args.dump:
         matrices = {"s-matrix": sys_.S, "a-x": sys_.A["x"], "a-y": sys_.A["y"],
@@ -304,9 +303,9 @@ def cmd_assemble(args: argparse.Namespace) -> dict | None:
     }
 
 
-def _stability_payload(sys_, dec, kind, chi) -> dict:
+def _stability_payload(sys_, kind, chi) -> dict:
     bc = make_boundary_operator(sys_, kind=kind, chi=chi)
-    rep = check_stability(dec, bc.B)
+    rep = check_stability(sys_.characteristic, bc.B)
     return {
         "bc": kind,
         "verdict": rep.verdict,
@@ -320,9 +319,9 @@ def _stability_payload(sys_, dec, kind, chi) -> dict:
     }
 
 
-def _combined_stability(sys_, dec, chi) -> dict:
-    mbc = _stability_payload(sys_, dec, "mbc", chi)
-    obc = _stability_payload(sys_, dec, "obc", chi)
+def _combined_stability(sys_, chi) -> dict:
+    mbc = _stability_payload(sys_, "mbc", chi)
+    obc = _stability_payload(sys_, "obc", chi)
     return {
         "chi": chi,
         "mbc_stable": mbc["stable"],
@@ -353,14 +352,13 @@ def cmd_check_stability(args: argparse.Namespace) -> dict:
             accommodation_gain(chi)
     axis = args.normal_axis
     sys_ = assemble_system(theory, normal_axis=axis, axes=(axis,))
-    dec = characteristic_decomposition(sys_)
     if args.scan_chi:
-        payload = {"scan": [_combined_stability(sys_, dec, c) for c in chis]}
+        payload = {"scan": [_combined_stability(sys_, c) for c in chis]}
     elif args.bc:
-        payload = _stability_payload(sys_, dec, args.bc, args.chi)
+        payload = _stability_payload(sys_, args.bc, args.chi)
         payload["chi"] = args.chi
     else:
-        payload = _combined_stability(sys_, dec, args.chi)
+        payload = _combined_stability(sys_, args.chi)
     payload["theory"] = theory.name
     return payload
 
@@ -434,23 +432,22 @@ def cmd_compare(args: argparse.Namespace) -> dict:
         raise UsageError("inputs live on different grids")
     e_theta = np.abs(left["theta"] - right["theta"])
     e_sigma = np.abs(left["sigma_yy"] - right["sigma_yy"])
-    out = args.out
     payload = {
         "max_e_theta": float(e_theta.max()),
         "max_e_sigma": float(e_sigma.max()),
     }
-    if out:
-        out = _outpath(out)
+    if args.out:
+        out = _outpath(args.out)
         _write_csv(out, ["y", "theta_left", "theta_right", "sigma_yy_left",
                          "sigma_yy_right", "e_theta", "e_sigma"],
                    [left["y"], left["theta"], right["theta"], left["sigma_yy"],
                     right["sigma_yy"], e_theta, e_sigma])
-        payload["out"] = out
+        payload["out"] = args.out
         if args.plot:
-            plot = _outpath(args.plot)
-            with open(plot, "w") as fh:
+            # the script names the CSV where it was written
+            with open(_outpath(args.plot), "w") as fh:
                 fh.write(_GNUPLOT.format(csv=out, png=out + ".png"))
-            payload["plot"] = plot
+            payload["plot"] = args.plot
     return payload
 
 

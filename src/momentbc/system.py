@@ -4,12 +4,14 @@ A theory is fixed by its maximal tensor rank and the number of radial
 (Laguerre) indices per rank.  The flux matrices are moment projections of
 the free streaming operator; the symmetrizer follows from the quadratic
 entropy over all tensor components, which makes every S A^(k) exactly
-symmetric and splits the wall-normal flux into odd/even blocks.
+symmetric and splits the wall-normal flux into odd/even blocks.  A system
+holds its characteristic decomposition and its raw accommodation operator,
+each built on first use and read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -121,7 +123,8 @@ def verify_full_symmetry(bs: BasisSet, axis: str = "x") -> SymmetryReport:
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Assembled first-order system: d_t alpha + A^(k) d_k alpha = rhs."""
+    """Assembled first-order system d_t alpha + A^(k) d_k alpha = rhs, with
+    the structure its walls and channel solvers derive from it, held once."""
 
     basis: BasisSet
     A: dict
@@ -166,6 +169,15 @@ class MomentSystem:
             a.flags.writeable = False
         return M, MappingProxyType(g_columns)
 
+    @cached_property
+    def characteristic(self) -> CharacteristicDecomposition:
+        """characteristic_decomposition of this system, read by the
+        stability check and every channel solver.  Computed once, read-only."""
+        dec = characteristic_decomposition(self)
+        for f in fields(dec):
+            getattr(dec, f.name).flags.writeable = False
+        return dec
+
 
 def assemble_system(theory: MomentTheory, normal_axis: str = "x",
                     axes=("x", "y", "z")) -> MomentSystem:
@@ -186,8 +198,6 @@ class CharacteristicDecomposition:
     first), lam_plus ascending.  The zero block spans the kernel image.
     """
 
-    normal_axis: str
-    orientation: int
     S_half: np.ndarray
     S_half_inv: np.ndarray
     X_minus: np.ndarray
@@ -233,26 +243,19 @@ class CharacteristicDecomposition:
 _ZERO_TOL = 1e-10
 
 
-def characteristic_decomposition(sys: MomentSystem,
-                                 orientation: int = +1) -> CharacteristicDecomposition:
+def characteristic_decomposition(sys: MomentSystem) -> CharacteristicDecomposition:
     """Orthogonal eigendecomposition of the scaled wall-normal flux.
 
-    orientation -1 selects the wall whose outward normal points along the
-    negative axis; its flux is the parity-reflected conjugate of the +1 one.
+    It describes the wall with outward normal +axis; the other wall's
+    operator is the parity conjugate of its own (make_boundary_operator).
     """
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
     S = sys.S
     w, Q = np.linalg.eigh(S)
     if w.min() <= 0:
         raise ValueError("symmetrizer is not positive definite")
     S_half = (Q * np.sqrt(w)) @ Q.T
     S_half_inv = (Q / np.sqrt(w)) @ Q.T
-    A = sys.A_normal
-    if orientation < 0:
-        signs = sys.basis.parity_signs(sys.normal_axis)
-        A = (A * signs[None, :]) * signs[:, None]
-    M = S_half @ A @ S_half_inv
+    M = S_half @ sys.A_normal @ S_half_inv
     asym = np.abs(M - M.T).max()
     if asym > 1e-8:
         raise ValueError(f"scaled flux not symmetric (deviation {asym:.3e})")
@@ -262,7 +265,6 @@ def characteristic_decomposition(sys: MomentSystem,
     pos = lam > cut
     zero = ~(neg | pos)
     return CharacteristicDecomposition(
-        normal_axis=sys.normal_axis, orientation=orientation,
         S_half=S_half, S_half_inv=S_half_inv,
         X_minus=X[:, neg], X_zero=X[:, zero], X_plus=X[:, pos],
         lam_minus=lam[neg], lam_plus=lam[pos])

@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 
+from momentbc import system
 from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
@@ -20,7 +21,7 @@ from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
                               _step_operator, extract_fields,
                               reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
-from momentbc.system import characteristic_decomposition, grad_theory
+from momentbc.system import assemble_system, characteristic_decomposition, grad_theory
 
 from conftest import cached_system
 
@@ -151,7 +152,7 @@ def apply_grid(Z, N, u):
 def _operator_setup(cfg, sys_):
     bc_upper = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=+1)
     bc_lower = make_boundary_operator(sys_, cfg.bc_kind, cfg.chi, sign=-1)
-    return cfg, sys_, bc_upper, bc_lower, characteristic_decomposition(sys_)
+    return cfg, sys_, bc_upper, bc_lower
 
 
 @pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
@@ -180,7 +181,7 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
     cfg = make_config(degree=4, n_grid=40, bc_kind=bc_kind)
     N, m, n_o = cfg.n_grid, sys_.size, sys_.n_o
     args = _operator_setup(cfg, sys_)
-    bc_upper, bc_lower = args[2:4]
+    bc_upper, bc_lower = args[2:]
     K = _steady_operator(*args)
     Z, _ = _march_operator(*args)
     assert K.shape == (N * m, N * m)
@@ -491,6 +492,20 @@ def test_march_detects_unstable_step():
     assert res.times[-1] < 1.0
 
 
+def test_solvers_share_one_characteristic_decomposition(monkeypatch):
+    # the steady, modal and march solvers of one system read the
+    # decomposition it holds; it is built on first use and only then
+    calls = []
+    monkeypatch.setattr(system, "characteristic_decomposition",
+                        lambda sys_: calls.append(sys_) or characteristic_decomposition(sys_))
+    sys_ = assemble_system(grad_theory(3), normal_axis="y", axes=("y",))  # nothing held yet
+    cfg = make_config(n_grid=32)
+    solve_steady(cfg, sys=sys_)
+    solve_modal(cfg, sys=sys_)
+    time_march_energy(cfg, t_final=0.1, sys=sys_)
+    assert calls == [sys_]
+
+
 def _march_oracle(cfg, sys_):
     """Kronecker-form march operator M, with the operator arguments."""
     args = _operator_setup(cfg, sys_)
@@ -544,7 +559,7 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     M, args = _march_oracle(cfg, sys_)
     Z, b = _march_operator(*args)
     h = cfg.grid()[1] - cfg.grid()[0]
-    dt = 0.4 * h / args[4].max_speed
+    dt = 0.4 * h / sys_.characteristic.max_speed
     R, r = _step_operator(Z, b, dt, n_grid)
     assert R.shape == (13, sys_.size, 13, sys_.size)
 
@@ -643,10 +658,10 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
     from the same initial state."""
     M, args = _march_oracle(cfg, sys_)
     b = _march_operator(*args)[1]
-    bc_upper, bc_lower, dec = args[2:]
+    bc_upper, bc_lower = args[2:]
     N, m = cfg.n_grid, sys_.size
     h = cfg.grid()[1] - cfg.grid()[0]
-    t_final = (steps - 0.5) * cfl * h / dec.max_speed
+    t_final = (steps - 0.5) * cfl * h / sys_.characteristic.max_speed
     res = time_march_energy(cfg, t_final=t_final, cfl=cfl, init=init, seed=4,
                             sys=sys_, record_every=record_every)
     alpha0 = (np.zeros((N, m)) if init == "zero"

@@ -429,6 +429,30 @@ def test_outdir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "rel.csv").exists()
 
 
+def test_outdir_env_reports_paths_as_given(capsys, tmp_path, monkeypatch):
+    # every command writes a relative --out under MOMENTBC_OUTDIR and
+    # reports it as given
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    monkeypatch.setenv("MOMENTBC_OUTDIR", str(outdir))
+    monkeypatch.chdir(tmp_path)
+    for name, theory in (("left.csv", "G20"), ("right.csv", "G35")):
+        rep = run_json(capsys, "solve-channel", "--theory", theory, "--grid", "32",
+                       "--out", name)
+        assert rep["out"] == name
+    rep = run_json(capsys, "energy-march", "--theory", "G20", "--grid", "32",
+                   "--t-final", "0.1", "--out", "trace.csv")
+    assert rep["out"] == "trace.csv"
+    rep = run_json(capsys, "compare", "left.csv", "right.csv",
+                   "--out", "joined.csv", "--plot", "plot.gp")
+    assert (rep["out"], rep["plot"]) == ("joined.csv", "plot.gp")
+    written = {"left.csv", "right.csv", "trace.csv", "joined.csv", "plot.gp"}
+    assert {p.name for p in outdir.iterdir()} == written
+    assert {p.name for p in tmp_path.iterdir()} == {"outdir"}
+    # the plot script names the CSV where it was written
+    assert str(outdir / "joined.csv") in (outdir / "plot.gp").read_text()
+
+
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theory": "G20", "grid": 32}))

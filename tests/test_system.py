@@ -1,4 +1,6 @@
 """Assembled moment systems: symmetrizer, fluxes, characteristic structure."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from momentbc.system import (MomentTheory, assemble_system, bgk_projector,
                              theory_from_name, verify_full_symmetry)
 from momentbc.basis import build_basis_set
 
-from conftest import cached_system, characteristic_form
+from conftest import cached_system
 
 
 # Entropy Gram of the 13-moment planar theory, frozen from an independent
@@ -229,11 +231,6 @@ def test_split_fluxes_sum_to_flux(g20x):
     assert np.linalg.eigvalsh(0.5 * (Sup + Sup.T)).min() > -1e-10
 
 
-def test_orientation_validation(g20x):
-    with pytest.raises(ValueError):
-        characteristic_decomposition(g20x, orientation=0)
-
-
 def test_rotated_normal_same_spectrum(g20x, g20y):
     lam_x = characteristic_decomposition(g20x)
     lam_y = characteristic_decomposition(g20y)
@@ -251,15 +248,24 @@ def test_parity_reflection_conjugates_flux(g20x):
     assert np.abs(R @ g20x.S @ R - g20x.S).max() == 0.0
 
 
-def test_reflected_orientation_quadratic_form(g20x):
-    dec_p = characteristic_decomposition(g20x, orientation=+1)
-    dec_m = characteristic_decomposition(g20x, orientation=-1)
-    R = np.diag(g20x.basis.parity_signs("x"))
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.standard_normal(g20x.size)
-        assert characteristic_form(dec_m, a) == pytest.approx(
-            characteristic_form(dec_p, R @ a), abs=1e-10)
+@pytest.mark.parametrize("degree, reduction, normal", [(3, "planar", "x"),
+                                                       (4, "full3d", "y")])
+def test_characteristic_held_read_only(degree, reduction, normal):
+    # the system holds one decomposition, equal bit for bit to a fresh one,
+    # whose arrays (and the split fluxes derived from them) are read-only
+    sys_ = assemble_system(grad_theory(degree, reduction), normal_axis=normal)
+    dec = sys_.characteristic
+    assert sys_.characteristic is dec
+    names = [f.name for f in dataclasses.fields(dec)]
+    arrays = [getattr(dec, name) for name in names] + list(dec.split_fluxes)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        dec.S_half[0, 0] = 0.0
+    ref = characteristic_decomposition(sys_)
+    for name in names:
+        held, fresh = getattr(dec, name), getattr(ref, name)
+        assert held.dtype == fresh.dtype and held.shape == fresh.shape
+        assert held.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("degree,reduction", [(2, "planar"), (3, "planar"),
