@@ -13,12 +13,18 @@ Every Gaussian integral is one array product: each stack is cut to the
 monomials it uses, and the moment table between those exponents sits in
 the middle, G = C_p @ W @ C_q^T (see `_gram`).
 
+Stacks are built a (rank, radial) block at a time (`_radial_block`): the
+block's harmonic tensors are stacked once and each term of the radial
+factor is added to all of them in one operation.
+
 A theory keeps one stack, the independent basis polynomials.  The
 distribution reconstructed from a state sums the basis polynomials of
 all 3^n ordered index tuples; since a dependent component's polynomial
 is the trace expansion of the independent ones, that sum is the integer
 weight matrix E^T diag(w) E = 2S (`BasisSet.expansion_weights`) times the
-stack.
+stack.  The symmetry check integrates every kept multiset's polynomial
+instead; that second stack is held too (`BasisSet.multiset_polys`),
+built on the first check.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ def _gram(P, Q, axis=None, half=None) -> np.ndarray:
     the integral runs over the half space xi_half > 0 only.
     """
     Cp, ep = _used(P)
-    Cq, eq = _used(Q)
+    Cq, eq = (Cp, ep) if Q is P else _used(Q)
     W = np.ones((len(ep), len(eq)))
     for a, name in enumerate(AXES):
         k = ep[:, a, None] + eq[None, :, a] + (name == axis)
@@ -78,21 +84,13 @@ def _gram(P, Q, axis=None, half=None) -> np.ndarray:
     return Cp @ W @ Cq.T
 
 
-def _stack(arrays, degree) -> np.ndarray:
-    """Zero-pad coefficient arrays to one (count, D+1, D+1, D+1) stack."""
-    out = np.zeros((len(arrays),) + (degree + 1,) * 3)
-    for c, a in zip(out, arrays):
-        c[:a.shape[0], :a.shape[1], :a.shape[2]] = a
-    return out
-
-
-def _r2_power(m):
+@lru_cache(maxsize=None)
+def _r2_power(m) -> tuple:
     """Terms of (xi.xi)^m as (exponents, multinomial weight) pairs."""
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            w = math.factorial(m) // (math.factorial(i) * math.factorial(j)
-                                      * math.factorial(m - i - j))
-            yield (2 * i, 2 * j, 2 * (m - i - j)), w
+    return tuple(((2 * i, 2 * j, 2 * (m - i - j)),
+                  math.factorial(m) // (math.factorial(i) * math.factorial(j)
+                                        * math.factorial(m - i - j)))
+                 for i in range(m + 1) for j in range(m - i + 1))
 
 
 def laguerre_coefficients(n: int, s: int) -> list:
@@ -162,6 +160,24 @@ def harmonic_tensor(component) -> np.ndarray:
     return out
 
 
+def _radial_block(n: int, s: int, components, degree: int) -> np.ndarray:
+    """Basis polynomials of rank n and radial index s, one per component
+    (canonical rank-n tuples), as a (count, D+1, D+1, D+1) stack, D the
+    given degree.
+
+    The harmonic tensors are stacked once and every term of the radial
+    factor is added to the whole block in one operation, so each
+    coefficient sees the same sequence of additions as when it is built
+    on its own.
+    """
+    H = np.stack([harmonic_tensor(t) for t in components])
+    out = np.zeros((len(components),) + (degree + 1,) * 3)
+    for p, c in enumerate(laguerre_coefficients(n, s)):
+        for (i, j, k), w in _r2_power(p):
+            out[:, i:i + n + 1, j:j + n + 1, k:k + n + 1] += ((c * 0.5 ** p) * w) * H
+    return out
+
+
 @lru_cache(maxsize=None)
 def basis_polynomial(n: int, s: int, component) -> np.ndarray:
     """Coefficient array, of shape (n+2s+1,) * 3, of the basis function
@@ -169,11 +185,7 @@ def basis_polynomial(n: int, s: int, component) -> np.ndarray:
     t = canonical(component)
     if len(t) != n:
         raise ValueError(f"component {t} does not have rank {n}")
-    harmonic = harmonic_tensor(t)
-    out = np.zeros((n + 2 * s + 1,) * 3)
-    for p, c in enumerate(laguerre_coefficients(n, s)):
-        for (i, j, k), w in _r2_power(p):
-            out[i:i + n + 1, j:j + n + 1, k:k + n + 1] += ((c * 0.5 ** p) * w) * harmonic
+    out = _radial_block(n, s, (t,), n + 2 * s)[0]
     out.flags.writeable = False
     return out
 
@@ -245,14 +257,35 @@ class BasisSet:
         expansion, one block per (rank, radial) pair; times polys they
         give the reconstruction behind every moment.  Computed once,
         read-only."""
+        reduction = self.theory.reduction
         W = np.zeros((self.size, self.size))
+        per_rank = {}
         for (n, s), cols in self.blocks().items():
-            _, E, w = _expansion(n, self.theory.reduction)
-            indep = independent_components(n, self.theory.reduction)
-            E = E[:, [indep.index(self.entries[i].component) for i in cols]]
-            W[np.ix_(cols, cols)] = (E.T * w) @ E
+            if n not in per_rank:
+                _, E, w = _expansion(n, reduction)
+                per_rank[n] = (E.T * w) @ E
+            indep = independent_components(n, reduction)
+            idx = [indep.index(self.entries[i].component) for i in cols]
+            W[np.ix_(cols, cols)] = per_rank[n][np.ix_(idx, idx)]
         W.flags.writeable = False
         return W
+
+    @cached_property
+    def multiset_polys(self):
+        """The basis polynomial of every kept multiset (tensor/_expansion)
+        of every (rank, radial) block, as (multisets, stack) with the
+        stack shaped like polys: the component-level functions behind
+        verify_full_symmetry.  Computed once, read-only."""
+        reduction = self.theory.reduction
+        degree = self.polys.shape[1] - 1
+        multisets, blocks = [], []
+        for n, s in self.blocks():
+            kept = _expansion(n, reduction)[0]
+            multisets += kept
+            blocks.append(_radial_block(n, s, kept, degree))
+        P = np.concatenate(blocks)
+        P.flags.writeable = False
+        return tuple(multisets), P
 
 
 def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
@@ -274,14 +307,18 @@ def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
     entries = tuple(bf for _, bf in items)
     n_o = sum(1 for key, _ in items if key[0] == 0)
     degree = max(bf.degree for bf in entries)
-    polys = _stack([basis_polynomial(bf.rank, bf.radial, bf.component)
-                    for bf in entries], degree)
-    return BasisSet(theory=theory, normal_axis=normal_axis, entries=entries,
-                    polys=polys, n_o=n_o, n_e=len(entries) - n_o)
+    bs = BasisSet(theory=theory, normal_axis=normal_axis, entries=entries,
+                  polys=np.zeros((len(entries),) + (degree + 1,) * 3),
+                  n_o=n_o, n_e=len(entries) - n_o)
+    for (n, s), cols in bs.blocks().items():
+        bs.polys[cols] = _radial_block(n, s, [entries[i].component for i in cols], degree)
+    return bs
 
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
+    """Reconstruction-identity matrix and its largest deviation from I."""
+
     matrix: np.ndarray
     max_deviation: float
 

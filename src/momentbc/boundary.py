@@ -124,20 +124,30 @@ class BoundaryOperator:
 _PSD_TOL = 1e-9
 
 
-def assemble_obc(sys: MomentSystem, M_mbc: np.ndarray, chi: float = 1.0):
-    """Onsager response L = 2 beta Mhat inv(Aoe_hat), symmetrized.
-
-    Returns (L, diagnostics).  Raises if L fails to be symmetric positive
-    semi-definite within tolerance, since the energy estimate rests on it.
-    """
-    beta = accommodation_gain(chi)
+def _onsager_terms(sys: MomentSystem):
+    """(Aoe, cond_Aoe_hat, M_mbc[:, :n_o] inv(Aoe_hat)), read-only; held
+    by MomentSystem.onsager.  Raises if Aoe_hat is near singular."""
     n_o = sys.n_o
     Aoe = sys.flux_odd_even()
     Ahat = Aoe[:, :n_o]
     cond = float(np.linalg.cond(Ahat))
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(f"odd-even flux head block near singular (cond {cond:.3e})")
-    L_raw = 2.0 * beta * (M_mbc[:, :n_o] @ np.linalg.inv(Ahat))
+    K = sys.mbc[0][:, :n_o] @ np.linalg.inv(Ahat)
+    Aoe.flags.writeable = K.flags.writeable = False
+    return Aoe, cond, K
+
+
+def assemble_obc(sys: MomentSystem, chi: float = 1.0):
+    """Onsager response L = 2 beta Mhat inv(Aoe_hat), symmetrized, with
+    Mhat the odd columns of the system's M_mbc.
+
+    Returns (L, diagnostics).  Raises if L fails to be symmetric positive
+    semi-definite within tolerance, since the energy estimate rests on it.
+    """
+    beta = accommodation_gain(chi)
+    _, cond, K = sys.onsager
+    L_raw = 2.0 * beta * K
     asym = float(np.abs(L_raw - L_raw.T).max())
     scale = max(float(np.abs(L_raw).max()), 1.0)
     if asym > 1e-9 * scale:
@@ -158,7 +168,8 @@ def make_boundary_operator(sys: MomentSystem, kind: str = "obc",
     The -1 orientation is the +1 operator conjugated by the parity
     reflection of the state, which flips the even-to-odd gain and the
     inhomogeneity columns.  Both start from the system's M_mbc and g
-    columns, assembled once per system (MomentSystem.mbc).
+    columns, assembled once per system (MomentSystem.mbc), and an Onsager
+    wall from the system's MomentSystem.onsager.
     """
     if kind not in ("mbc", "obc"):
         raise ValueError("kind must be 'mbc' or 'obc'")
@@ -171,8 +182,8 @@ def make_boundary_operator(sys: MomentSystem, kind: str = "obc",
     if kind == "mbc":
         theta = sign * 2.0 * beta * M_plus
     else:
-        L, diagnostics = assemble_obc(sys, M_plus, chi)
-        theta = sign * (L @ sys.flux_odd_even())
+        L, diagnostics = assemble_obc(sys, chi)
+        theta = sign * (L @ sys.onsager[0])
     B = np.hstack([np.eye(sys.n_o), -theta])
     return BoundaryOperator(kind=kind, beta=beta, n_o=sys.n_o, n_e=sys.n_e, B=B,
                             g_columns=g_columns, diagnostics=diagnostics)

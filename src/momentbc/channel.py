@@ -147,6 +147,8 @@ def extract_fields(bs: BasisSet, alpha: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class ChannelSolution:
+    """Steady channel fields on the grid y, with the state and diagnostics."""
+
     config: ChannelConfig
     y: np.ndarray
     alpha: np.ndarray          # (N, m); None for averaged reference fields
@@ -403,9 +405,10 @@ def _phi(z: np.ndarray, k: int) -> np.ndarray:
     phi_{j+1}(z) = (phi_j(z) - 1/j!) / z from phi_0(z) = e^z.
     """
     small = np.abs(z) < 1.0
-    series = np.zeros(int(small.sum()))
+    zs = z[small]
+    series = np.zeros(zs.size)
     for i in range(19, -1, -1):
-        series = series * z[small] + 1.0 / math.factorial(i + k)
+        series = series * zs + 1.0 / math.factorial(i + k)
     large = z[~small]
     rec = np.exp(large)
     for j in range(k):
@@ -611,6 +614,8 @@ def reference_solution(cfg: ChannelConfig, theories=None) -> ChannelSolution:
 
 @dataclass(frozen=True)
 class MarchResult:
+    """Energy trace and final state of one channel march."""
+
     config: ChannelConfig
     y: np.ndarray
     times: np.ndarray

@@ -17,6 +17,8 @@ from .system import CharacteristicDecomposition
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Admissibility verdict of one wall operator, with its evidence."""
+
     verdict: str                  # 'stable', 'unstable' or 'degenerate'
     kernel_ok: bool
     kernel_residual: float

@@ -5,8 +5,9 @@ A theory is fixed by its maximal tensor rank and the number of radial
 the free streaming operator; the symmetrizer follows from the quadratic
 entropy over all tensor components, which makes every S A^(k) exactly
 symmetric and splits the wall-normal flux into odd/even blocks.  A system
-holds its characteristic decomposition and its raw accommodation operator,
-each built on first use and read-only.
+holds its characteristic decomposition, its raw accommodation operator and
+the chi-independent part of its Onsager response, each built on first use
+and read-only.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensor import FULL3D, PLANAR, REDUCTIONS, _expansion
-from .basis import BasisSet, _gram, _stack, basis_polynomial, build_basis_set
+from .tensor import FULL3D, PLANAR, REDUCTIONS
+from .basis import BasisSet, _gram, build_basis_set
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,8 @@ def bgk_projector(bs: BasisSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetryReport:
+    """Worst asymmetry of the multiset-level flux integrals on one axis."""
+
     axis: str
     max_asymmetry: float
     max_odd_odd: float
@@ -109,14 +112,12 @@ def verify_full_symmetry(bs: BasisSet, axis: str = "x") -> SymmetryReport:
     Computes <psi_a, xi psi_b> on the multiset level for every pair of the
     theory's basis functions and reports the worst asymmetry, plus the
     largest odd-odd entry for the wall normal (exact zero by parity).
+    The multiset-level stack is the basis set's, built on its first check.
     """
-    reduction = bs.theory.reduction
-    funcs = [(m, basis_polynomial(n, s, m))
-             for n, s in bs.blocks() for m in _expansion(n, reduction)[0]]
-    P = _stack([p for _, p in funcs], bs.polys.shape[1] - 1)
+    multisets, P = bs.multiset_polys
     C = _gram(P, P, axis=axis)
     asym = float(np.abs(C - C.T).max())
-    odd = np.array([m.count(axis) % 2 == 1 for m, _ in funcs])
+    odd = np.array([m.count(axis) % 2 == 1 for m in multisets])
     max_oo = float(np.abs(C[np.ix_(odd, odd)]).max()) if odd.any() else 0.0
     return SymmetryReport(axis=axis, max_asymmetry=asym, max_odd_odd=max_oo)
 
@@ -168,6 +169,16 @@ class MomentSystem:
         for a in (M, *g_columns.values()):
             a.flags.writeable = False
         return M, MappingProxyType(g_columns)
+
+    @cached_property
+    def onsager(self):
+        """The chi-independent part of every Onsager wall of this system,
+        (Aoe, cond_Aoe_hat, K): Aoe = flux_odd_even(), the condition
+        number of its head block Aoe_hat and K = M_mbc[:, :n_o]
+        inv(Aoe_hat), so that boundary.assemble_obc's response is
+        2 beta K, symmetrized.  Computed once, read-only."""
+        from . import boundary  # boundary imports this module
+        return boundary._onsager_terms(self)
 
     @cached_property
     def characteristic(self) -> CharacteristicDecomposition:

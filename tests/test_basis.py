@@ -8,11 +8,13 @@ import pytest
 from numpy.polynomial.polynomial import polyval3d
 from scipy import integrate
 
+from momentbc import basis
 from momentbc.basis import (_AXIS_INDEX, _full_moment, _gram, _half_moment,
-                            _r2_power, _stack, basis_polynomial,
-                            build_basis_set, harmonic_tensor,
-                            laguerre_coefficients, verify_orthogonality)
-from momentbc.system import assemble_flux, assemble_symmetrizer, grad_theory
+                            _r2_power, basis_polynomial, build_basis_set,
+                            harmonic_tensor, laguerre_coefficients,
+                            verify_orthogonality)
+from momentbc.system import (assemble_flux, assemble_symmetrizer, grad_theory,
+                             verify_full_symmetry)
 from momentbc.tensor import _expansion, independent_components, multisets
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -281,6 +283,74 @@ def test_harmonic_tensor_matches_fraction_oracle():
         assert not got.flags.writeable
 
 
+def loop_polynomial(n, s, component):
+    """Oracle: one basis polynomial, each radial term added into its own
+    array one slice at a time."""
+    harmonic = harmonic_tensor(component)
+    out = np.zeros((n + 2 * s + 1,) * 3)
+    for p, c in enumerate(laguerre_coefficients(n, s)):
+        for (i, j, k), w in _r2_power(p):
+            out[i:i + n + 1, j:j + n + 1, k:k + n + 1] += ((c * 0.5 ** p) * w) * harmonic
+    return out
+
+
+def padded(arrays, degree):
+    """Zero-pad coefficient arrays to one (count, D+1, D+1, D+1) stack."""
+    out = np.zeros((len(arrays),) + (degree + 1,) * 3)
+    for c, a in zip(out, arrays):
+        c[:a.shape[0], :a.shape[1], :a.shape[2]] = a
+    return out
+
+
+def test_basis_polynomial_matches_loop_oracle():
+    # one component of the block build is the per-slice sum, bit for bit
+    for n in range(10):
+        for s in range(5):
+            for comp in multisets(n):
+                got = basis_polynomial(n, s, comp)
+                assert got.tobytes() == loop_polynomial(n, s, comp).tobytes(), (n, s, comp)
+                assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("normal", ["x", "y"])
+@pytest.mark.parametrize("degree,reduction",
+                         [(d, "planar") for d in range(2, 13)]
+                         + [(d, "full3d") for d in range(2, 10)])
+def test_block_stacks_match_basis_polynomial(degree, reduction, normal):
+    # polys and the multiset-level stack, built a (rank, radial) block at a
+    # time, are the zero-padded one-component polynomials, bit for bit
+    bs = build_basis_set(grad_theory(degree, reduction), normal)
+    ref = padded([basis_polynomial(bf.rank, bf.radial, bf.component)
+                  for bf in bs.entries], degree)
+    assert bs.polys.shape == ref.shape and bs.polys.tobytes() == ref.tobytes()
+    funcs = [(m, basis_polynomial(n, s, m))
+             for n, s in bs.blocks() for m in _expansion(n, reduction)[0]]
+    kept, P = bs.multiset_polys
+    assert kept == tuple(m for m, _ in funcs)
+    ref = padded([p for _, p in funcs], degree)
+    assert P.shape == ref.shape and P.tobytes() == ref.tobytes()
+
+
+def test_multiset_polys_held_once(monkeypatch):
+    # the stack behind verify_full_symmetry is built on the first check and
+    # read by the next axes: one block build per (rank, radial) pair
+    calls = []
+    block = basis._radial_block
+    monkeypatch.setattr(basis, "_radial_block",
+                        lambda *args: calls.append(args[:2]) or block(*args))
+    bs = build_basis_set(grad_theory(6, "full3d"), "y")
+    assert sorted(calls) == sorted(bs.blocks())  # polys
+    calls.clear()
+    reports = [verify_full_symmetry(bs, axis) for axis in ("x", "y", "z")]
+    assert calls == list(bs.blocks())
+    kept, P = bs.multiset_polys
+    assert bs.multiset_polys[1] is P
+    assert not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0, 0, 0, 0] = 1.0
+    assert all(rep.ok and rep.max_odd_odd == 0.0 for rep in reports)
+
+
 def test_basis_polynomial_degree_and_validation():
     assert degree(basis_polynomial(2, 1, ("x", "y"))) == 4
     assert terms(basis_polynomial(0, 0, ())) == {(0, 0, 0): 1.0}
@@ -375,7 +445,7 @@ def multiset_reconstruction(bs):
     reduction = bs.theory.reduction
     for (n, s), cols in bs.blocks().items():
         kept, E, w = _expansion(n, reduction)
-        P = _stack([basis_polynomial(n, s, m) for m in kept], bs.polys.shape[1] - 1)
+        P = padded([basis_polynomial(n, s, m) for m in kept], bs.polys.shape[1] - 1)
         R = np.tensordot((w[:, None] * E).T, P, axes=1)
         indep = independent_components(n, reduction)
         for i in cols:

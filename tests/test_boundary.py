@@ -115,8 +115,7 @@ def test_boundary_kind_and_sign_validation(g20x):
 
 
 def test_obc_response_matrix(g20x):
-    M, _ = assemble_mbc(g20x)
-    L, diag = assemble_obc(g20x, M, 1.0)
+    L, diag = assemble_obc(g20x, 1.0)
     assert np.abs(L - L.T).max() == 0.0
     eigs = np.linalg.eigvalsh(L)
     assert eigs.min() >= -1e-9 * eigs.max()
@@ -128,10 +127,34 @@ def test_obc_response_matrix(g20x):
     assert diag["min_eig_L"] >= -1e-9 * max(diag["max_eig_L"], 1.0)
 
 
+def test_onsager_terms_held_once_per_system(monkeypatch):
+    # Aoe, cond(Aoe_hat) and M_mbc[:, :n_o] inv(Aoe_hat) depend on neither
+    # chi nor the sign, so a chi scan inverts Aoe_hat once per system
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    sys_ = assemble_system(grad_theory(4), normal_axis="x")  # nothing held yet
+    chis = (0.2, 0.4, 0.6, 0.8, 1.0)
+    ops = [make_boundary_operator(sys_, "obc", chi, sign) for chi in chis for sign in (+1, -1)]
+    assert calls == [(sys_.n_o, sys_.n_o)]
+    Aoe, cond, K = sys_.onsager
+    assert sys_.onsager[0] is Aoe and sys_.onsager[2] is K
+    assert not Aoe.flags.writeable and not K.flags.writeable
+    ref_Aoe = sys_.flux_odd_even()
+    ref_M, _ = assemble_mbc(sys_)
+    ref_inv = inv(ref_Aoe[:, :sys_.n_o])
+    assert np.array_equal(Aoe, ref_Aoe) and cond == np.linalg.cond(ref_Aoe[:, :sys_.n_o])
+    for i, chi in enumerate(chis):
+        L_raw = 2.0 * accommodation_gain(chi) * (ref_M[:, :sys_.n_o] @ ref_inv)
+        L = 0.5 * (L_raw + L_raw.T)
+        for sign, bo in zip((+1, -1), ops[2 * i:2 * i + 2]):
+            assert np.array_equal(bo.gain(), sign * (L @ ref_Aoe))
+            assert bo.diagnostics["cond_Aoe_hat"] == cond
+
+
 def test_obc_response_scales_with_gain(g20x):
-    M, _ = assemble_mbc(g20x)
-    L1, _ = assemble_obc(g20x, M, 1.0)
-    L5, _ = assemble_obc(g20x, M, 0.5)
+    L1, _ = assemble_obc(g20x, 1.0)
+    L5, _ = assemble_obc(g20x, 0.5)
     # beta(0.5)/beta(1.0) = 1/3
     assert np.abs(L5 - L1 / 3.0).max() < 1e-14
 
