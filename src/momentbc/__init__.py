@@ -16,8 +16,8 @@ from .system import (CharacteristicDecomposition, MomentSystem, MomentTheory,
                      assemble_flux, assemble_symmetrizer, assemble_system,
                      bgk_projector, characteristic_decomposition, grad_theory,
                      theory_from_name, verify_full_symmetry)
-from .boundary import (BoundaryOperator, WallData, assemble_mbc, assemble_obc,
-                       make_boundary_operator, wall_inhomogeneity)
+from .boundary import (BoundaryOperator, assemble_mbc, assemble_obc,
+                       make_boundary_operator)
 from .stability import StabilityReport, check_stability
 from .channel import (ChannelConfig, ChannelSolution, reference_solution,
                       solve_modal, solve_steady, source_vector, time_march_energy)

@@ -1,12 +1,15 @@
 """Wall boundary operators for moment systems.
 
-The accommodation (Maxwell) operator follows from continuity of odd fluxes
-between the gas distribution and a diffusely reflecting wall Maxwellian,
-with the wall density eliminated through the no-penetration condition.  The
-Onsager variant replaces the even-moment gain by a symmetric positive
+Both wall kinds have rows B = [I | -theta] with one gain formula,
+theta = sign 2 beta Theta_kind, where beta is the accommodation gain, sign
+the wall's orientation and Theta_kind a chi-free gain the system holds
+once.  The accommodation (Maxwell) gain follows from continuity of odd
+fluxes between the gas distribution and a diffusely reflecting wall
+Maxwellian, with the wall density eliminated through the no-penetration
+condition.  The Onsager gain replaces it by a symmetric positive
 semi-definite response acting on the odd-even flux block, which restores a
 provable energy balance while agreeing with accommodation on the lowest
-moments.
+moments.  A wall's temperature is its only datum.
 """
 
 from __future__ import annotations
@@ -19,20 +22,6 @@ from .basis import _gram
 from .system import MomentSystem
 
 
-@dataclass(frozen=True)
-class WallData:
-    """Wall state in the local frame of the wall.
-
-    temp is the coefficient multiplying the scalar temperature basis
-    function in the wall Maxwellian (wall temperature deviation equals
-    -sqrt(2/3) temp in reference units); velocity maps tangential axes to
-    wall speed coefficients.
-    """
-
-    temp: float = 0.0
-    velocity: dict = field(default_factory=dict)
-
-
 def accommodation_gain(chi: float) -> float:
     """beta = chi / (2 - chi); one half at full accommodation."""
     if not 0.0 < chi <= 1.0:
@@ -40,22 +29,14 @@ def accommodation_gain(chi: float) -> float:
     return chi / (2.0 - chi)
 
 
-def _tangential_axes(normal_axis: str, reduction: str):
-    axes = [a for a in ("x", "y") if a != normal_axis]
-    if reduction == "full3d":
-        axes.append("z")
-    return axes
-
-
 def assemble_mbc(sys: MomentSystem):
-    """Raw accommodation operator for the wall with outward normal +axis.
+    """Raw accommodation gain for the wall with outward normal +axis.
 
-    Returns (M_mbc, g_columns): the even-to-odd gain matrix after
-    eliminating the wall density, and the columns of M_mbc that multiply
-    the wall temperature and tangential velocities in the inhomogeneity.
+    Returns (M_mbc, g): the even-to-odd gain matrix after eliminating the
+    wall density, and its column that multiplies the wall temperature.
     """
     bs = sys.basis
-    n_o, n_e = bs.n_o, bs.n_e
+    n_o = bs.n_o
     axis = bs.normal_axis
     odd = bs.entries[:n_o]
     if odd[0].rank != 1 or odd[0].radial != 0:
@@ -71,33 +52,70 @@ def assemble_mbc(sys: MomentSystem):
         raise ValueError("degenerate no-penetration moment")
     # eliminate the wall density via the first (no-penetration) row
     M = H - np.outer(w0, H[0]) / w0[0]
-
-    reduction = bs.theory.reduction
-    even_index = {}
-    for j in range(n_e):
-        bf = bs.entries[n_o + j]
-        even_index[(bf.rank, bf.radial, bf.component)] = j
-    g_columns = {"temp": M[:, even_index[(0, 1, ())]].copy()}
-    for ax in _tangential_axes(axis, reduction):
-        g_columns[("velocity", ax)] = M[:, even_index[(1, 0, (ax,))]].copy()
-    return M, g_columns
+    return M, M[:, bs.index_of(0, 1) - n_o].copy()
 
 
-def wall_inhomogeneity(g_columns: dict, wall: WallData) -> np.ndarray:
-    """Inhomogeneity g: minus the wall data paired with its gain columns."""
-    g = -wall.temp * g_columns["temp"]
-    for key, col in g_columns.items():
-        if isinstance(key, tuple) and key[0] == "velocity":
-            g = g - wall.velocity.get(key[1], 0.0) * col
-    return g
+# relative tolerance for a negative eigenvalue of the Onsager response
+_PSD_TOL = 1e-9
+
+
+def assemble_obc(sys: MomentSystem):
+    """Onsager gain Theta_obc = sym(K) Aoe, with K = Mhat inv(Aoe_hat), Mhat
+    the odd columns of the system's M_mbc and Aoe its odd-even flux block,
+    so that a wall's response is L = 2 beta sym(K).
+
+    Returns (Theta_obc, diagnostics), both chi-free: the diagnostics are
+    those of L per unit 2 beta.  Raises if Aoe_hat is near singular, or if
+    L fails to be symmetric positive semi-definite within tolerance, since
+    the energy estimate rests on it; the check reads L at full
+    accommodation, 2 sym(K), the strictest of every chi's.
+    """
+    n_o = sys.n_o
+    Aoe = sys.flux_odd_even()
+    Ahat = Aoe[:, :n_o]
+    cond = float(np.linalg.cond(Ahat))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ValueError(f"odd-even flux head block near singular (cond {cond:.3e})")
+    L_raw = 2.0 * (sys.mbc[0][:, :n_o] @ np.linalg.inv(Ahat))
+    asym = float(np.abs(L_raw - L_raw.T).max())
+    if asym > 1e-9 * max(float(np.abs(L_raw).max()), 1.0):
+        raise ValueError(f"Onsager response not symmetric (deviation {asym:.3e})")
+    L = 0.5 * (L_raw + L_raw.T)
+    eigs = np.linalg.eigvalsh(L)
+    if eigs.min() < -_PSD_TOL * max(eigs.max(), 1.0):
+        raise ValueError(f"Onsager response has negative eigenvalue {eigs.min():.3e}")
+    diag = {"asymmetry": 0.5 * asym, "cond_Aoe_hat": cond,
+            "min_eig_L": 0.5 * float(eigs.min()), "max_eig_L": 0.5 * float(eigs.max())}
+    return (0.5 * L) @ Aoe, diag
+
+
+def _held_gain(sys: MomentSystem, kind: str):
+    """(Theta_kind, its chi-free diagnostics) as the system holds them;
+    the Onsager gain is built on its first use."""
+    if kind not in ("mbc", "obc"):
+        raise ValueError("kind must be 'mbc' or 'obc'")
+    return (sys.mbc[0], {}) if kind == "mbc" else sys.obc
+
+
+def wall_form_min(sys: MomentSystem, kind: str) -> float:
+    """lambda_min / max|lambda| of the wall form sym(Theta_kind^T Aoe).  On
+    the wall's rows the energy flux is 2 beta u_e^T Theta_kind^T Aoe u_e, so
+    the sign is the same at every chi; below zero some even state draws
+    energy, which check_stability's Schur form does not see when the wall
+    also fails the kernel condition."""
+    F = _held_gain(sys, kind)[0].T @ sys.flux_odd_even()
+    eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
+    scale = float(np.abs(eigs).max())
+    return float(eigs.min()) / scale if scale > 0 else 0.0
 
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """Boundary rows B alpha = rhs(wall) for one wall.
+    """Boundary rows B alpha = rhs(wall_temp) for one wall.
 
-    kind is 'mbc' or 'obc'.  g_columns are stored in the frame of the
-    wall's outward normal, so rhs = 2 beta g at either orientation.
+    kind is 'mbc' or 'obc'.  g is the system's wall-temperature column in
+    the frame of the wall's outward normal, so rhs = -2 beta wall_temp g at
+    either orientation.
     """
 
     kind: str
@@ -105,85 +123,38 @@ class BoundaryOperator:
     n_o: int
     n_e: int
     B: np.ndarray
-    g_columns: dict
+    g: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return self.n_o + self.n_e
 
     def gain(self) -> np.ndarray:
         """Even-to-odd map Theta with alpha_o = Theta alpha_e + rhs."""
         return -self.B[:, self.n_o:]
 
-    def rhs(self, wall: WallData) -> np.ndarray:
-        return 2.0 * self.beta * wall_inhomogeneity(self.g_columns, wall)
-
-
-# relative tolerance for a negative eigenvalue of the Onsager response
-_PSD_TOL = 1e-9
-
-
-def _onsager_terms(sys: MomentSystem):
-    """(Aoe, cond_Aoe_hat, M_mbc[:, :n_o] inv(Aoe_hat)), read-only; held
-    by MomentSystem.onsager.  Raises if Aoe_hat is near singular."""
-    n_o = sys.n_o
-    Aoe = sys.flux_odd_even()
-    Ahat = Aoe[:, :n_o]
-    cond = float(np.linalg.cond(Ahat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError(f"odd-even flux head block near singular (cond {cond:.3e})")
-    K = sys.mbc[0][:, :n_o] @ np.linalg.inv(Ahat)
-    Aoe.flags.writeable = K.flags.writeable = False
-    return Aoe, cond, K
-
-
-def assemble_obc(sys: MomentSystem, chi: float = 1.0):
-    """Onsager response L = 2 beta Mhat inv(Aoe_hat), symmetrized, with
-    Mhat the odd columns of the system's M_mbc.
-
-    Returns (L, diagnostics).  Raises if L fails to be symmetric positive
-    semi-definite within tolerance, since the energy estimate rests on it.
-    """
-    beta = accommodation_gain(chi)
-    _, cond, K = sys.onsager
-    L_raw = 2.0 * beta * K
-    asym = float(np.abs(L_raw - L_raw.T).max())
-    scale = max(float(np.abs(L_raw).max()), 1.0)
-    if asym > 1e-9 * scale:
-        raise ValueError(f"Onsager response not symmetric (deviation {asym:.3e})")
-    L = 0.5 * (L_raw + L_raw.T)
-    eigs = np.linalg.eigvalsh(L)
-    if eigs.min() < -_PSD_TOL * max(eigs.max(), 1.0):
-        raise ValueError(f"Onsager response has negative eigenvalue {eigs.min():.3e}")
-    diag = {"asymmetry": asym, "cond_Aoe_hat": cond,
-            "min_eig_L": float(eigs.min()), "max_eig_L": float(eigs.max())}
-    return L, diag
+    def rhs(self, wall_temp: float) -> np.ndarray:
+        """The rows' right side for a wall Maxwellian whose temperature
+        basis coefficient is wall_temp (a wall temperature deviation of
+        -sqrt(2/3) wall_temp in reference units)."""
+        return 2.0 * self.beta * (-wall_temp * self.g)
 
 
 def make_boundary_operator(sys: MomentSystem, kind: str = "obc",
                            chi: float = 1.0, sign: int = +1) -> BoundaryOperator:
-    """Assemble the full boundary row block for one wall.
+    """Assemble the full boundary row block for one wall, B = [I | -theta]
+    with theta = sign 2 beta Theta_kind and Theta_kind held by the system
+    (MomentSystem.mbc, MomentSystem.obc).
 
     The -1 orientation is the +1 operator conjugated by the parity
-    reflection of the state, which flips the even-to-odd gain and the
-    inhomogeneity columns.  Both start from the system's M_mbc and g
-    columns, assembled once per system (MomentSystem.mbc), and an Onsager
-    wall from the system's MomentSystem.onsager.
+    reflection of the state, which flips the gain and the temperature
+    column.  The Onsager diagnostics are the system's, scaled by 2 beta
+    where they read the response.
     """
-    if kind not in ("mbc", "obc"):
-        raise ValueError("kind must be 'mbc' or 'obc'")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     beta = accommodation_gain(chi)
-    M_plus, g_plus = sys.mbc
-    g_columns = {k: sign * v for k, v in g_plus.items()}
-    diagnostics = {}
-    if kind == "mbc":
-        theta = sign * 2.0 * beta * M_plus
-    else:
-        L, diagnostics = assemble_obc(sys, chi)
-        theta = sign * (L @ sys.onsager[0])
+    theta_kind, held = _held_gain(sys, kind)
+    theta = sign * 2.0 * beta * theta_kind
+    diagnostics = {key: value if key == "cond_Aoe_hat" else 2.0 * beta * value
+                   for key, value in held.items()}
     B = np.hstack([np.eye(sys.n_o), -theta])
     return BoundaryOperator(kind=kind, beta=beta, n_o=sys.n_o, n_e=sys.n_e, B=B,
-                            g_columns=g_columns, diagnostics=diagnostics)
+                            g=sign * sys.mbc[1], diagnostics=diagnostics)

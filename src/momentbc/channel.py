@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BasisSet
-from .boundary import WallData, accommodation_gain, make_boundary_operator
+from .boundary import accommodation_gain, make_boundary_operator
 from .system import MomentSystem, MomentTheory, assemble_system, grad_theory
 
 
@@ -106,9 +106,6 @@ class ChannelConfig:
 
     def grid(self) -> np.ndarray:
         return np.linspace(-0.5, 0.5, self.n_grid)
-
-    def wall_data(self) -> WallData:
-        return WallData(temp=self.wall_temp)
 
 
 def source_vector(bs: BasisSet, amplitude: float, y) -> np.ndarray:
@@ -302,15 +299,14 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
     N = cfg.n_grid
     y = cfg.grid()
     bs = sys.basis
-    wall = cfg.wall_data()
     size = N * m
     top = (N - 1) * m
 
     rhs = np.zeros(size + 1)
     F = source_vector(bs, cfg.source_amplitude, y)
     rhs[:size] = F.ravel()
-    rhs[0:n_o] = bc_lower.rhs(wall)
-    rhs[top:top + n_o] = bc_upper.rhs(wall)
+    rhs[0:n_o] = bc_lower.rhs(cfg.wall_temp)
+    rhs[top:top + n_o] = bc_upper.rhs(cfg.wall_temp)
 
     # zero-total-density gauge via a bordered system
     start = time.perf_counter()
@@ -554,8 +550,7 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     mean = values(powers.mean(axis=0, keepdims=True), decay.mean(axis=0, keepdims=True))
     part = powers @ c_part + x_part @ V.T
     i_rho = bs.index_of(0, 0, ())
-    wall = cfg.wall_data()
-    r_lower, r_upper = bc_lower.rhs(wall), bc_upper.rhs(wall)
+    r_lower, r_upper = bc_lower.rhs(cfg.wall_temp), bc_upper.rhs(cfg.wall_temp)
     amp, _, _, sv = np.linalg.lstsq(
         np.vstack([bc_lower.B @ ends[0], bc_upper.B @ ends[1], mean[:, i_rho]]),
         np.r_[r_lower - bc_lower.B @ part[0], r_upper - bc_upper.B @ part[-1],
@@ -770,10 +765,10 @@ def _class_operator(Z, b, idx, L):
     return blocks.transpose(0, 2, 1, 3), b_c.ravel()
 
 
-def _apply_wall_state(alpha, bc_upper, bc_lower, wall, n_o):
+def _apply_wall_state(alpha, bc_upper, bc_lower, wall_temp, n_o):
     """Overwrite the wall-node odd moments with the boundary relation."""
-    alpha[0, :n_o] = bc_lower.gain() @ alpha[0, n_o:] + bc_lower.rhs(wall)
-    alpha[-1, :n_o] = bc_upper.gain() @ alpha[-1, n_o:] + bc_upper.rhs(wall)
+    alpha[0, :n_o] = bc_lower.gain() @ alpha[0, n_o:] + bc_lower.rhs(wall_temp)
+    alpha[-1, :n_o] = bc_upper.gain() @ alpha[-1, n_o:] + bc_upper.rhs(wall_temp)
     return alpha
 
 
@@ -819,7 +814,6 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     N = cfg.n_grid
     y = cfg.grid()
     h = y[1] - y[0]
-    wall = cfg.wall_data()
     if isinstance(init, str):
         if init == "zero":
             alpha = np.zeros((N, m))
@@ -829,7 +823,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
             raise ValueError(f"unknown initializer {init!r}")
     else:
         alpha = np.array(init, dtype=float).reshape(N, m)
-    alpha = _apply_wall_state(alpha, bc_upper, bc_lower, wall, sys.n_o)
+    alpha = _apply_wall_state(alpha, bc_upper, bc_lower, cfg.wall_temp, sys.n_o)
 
     dt = cfl * h / max(sys.characteristic.max_speed, 1e-12)
     dt = min(dt, 1.5 * cfg.kn)

@@ -20,9 +20,11 @@ usage error.
 Exit codes: 0 success; 1 usage or configuration error, which includes an
 unknown option or config key, a missing --theory, a malformed --m or
 --scan-chi, --m with a named theory, --bc with --scan-chi, an unknown
-theory, kn, cfl or t_final not finite and positive, grid < 16, chi
-outside (0, 1], a negative seed, an unreadable input, an unwritable
-output and a malformed compare CSV; 2 numerical verification failure.
+theory, a custom theory without the wall's temperature or normal
+velocity for a command with walls, kn, cfl or t_final not finite and
+positive, grid < 16, chi outside (0, 1], a negative seed, an unreadable
+input, an unwritable output and a malformed compare CSV; 2 numerical
+verification failure.
 Each command returns its report, and main emits it as JSON on stdout
 with the library version and, as "config", the subcommand's resolved
 options: what ran.  Output paths resolve against MOMENTBC_OUTDIR when set.
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .basis import verify_orthogonality
-from .boundary import accommodation_gain, make_boundary_operator
+from .boundary import accommodation_gain, make_boundary_operator, wall_form_min
 from .channel import (ChannelConfig, reference_solution, solve_steady,
                       time_march_energy)
 from .stability import check_stability
@@ -227,9 +229,21 @@ def resolve_theory(args: argparse.Namespace) -> MomentTheory:
                         reduction=args.reduction)
 
 
+def _wall_theory(args: argparse.Namespace) -> MomentTheory:
+    """resolve_theory for a command with walls: the theory must hold what a
+    wall reads, the temperature moment and the normal velocity (every named
+    theory does)."""
+    theory = resolve_theory(args)
+    if theory.radial_counts[0] < 2 or theory.max_rank < 1:
+        raise UsageError(f"{args.subcommand} needs the wall's temperature and normal "
+                         f"velocity: --m {args.m} wants a first entry of at least 2 "
+                         f"and two or more entries")
+    return theory
+
+
 def _channel_config(args: argparse.Namespace, **source) -> ChannelConfig:
     """The channel options as a ChannelConfig; its range checks are usage errors."""
-    theory = resolve_theory(args)
+    theory = _wall_theory(args)
     with _usage_errors():
         return ChannelConfig(theory=theory, kn=args.kn, chi=args.chi,
                              bc_kind=args.bc, n_grid=args.grid, **source)
@@ -336,7 +350,7 @@ def _combined_stability(sys_, chi) -> dict:
 
 
 def cmd_check_stability(args: argparse.Namespace) -> dict:
-    theory = resolve_theory(args)
+    theory = _wall_theory(args)
     chis = [args.chi]
     if args.scan_chi:
         try:
@@ -360,6 +374,8 @@ def cmd_check_stability(args: argparse.Namespace) -> dict:
     else:
         payload = _combined_stability(sys_, args.chi)
     payload["theory"] = theory.name
+    payload["wall_form_min"] = {kind: wall_form_min(sys_, kind)
+                                for kind in ((args.bc,) if args.bc else ("mbc", "obc"))}
     return payload
 
 

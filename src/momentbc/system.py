@@ -5,16 +5,14 @@ A theory is fixed by its maximal tensor rank and the number of radial
 the free streaming operator; the symmetrizer follows from the quadratic
 entropy over all tensor components, which makes every S A^(k) exactly
 symmetric and splits the wall-normal flux into odd/even blocks.  A system
-holds its characteristic decomposition, its raw accommodation operator and
-the chi-independent part of its Onsager response, each built on first use
-and read-only.
+holds its characteristic decomposition and the chi-free gains of both wall
+kinds, each built on first use and read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -160,25 +158,27 @@ class MomentSystem:
 
     @cached_property
     def mbc(self):
-        """boundary.assemble_mbc of this system, (M_mbc, g_columns).
-        Neither depends on the accommodation coefficient, the kind or the
-        wall's sign, so every boundary operator of the system shares them.
+        """boundary.assemble_mbc of this system, (M_mbc, g): the raw
+        accommodation gain and its wall-temperature column.  Neither
+        depends on the accommodation coefficient, the kind or the wall's
+        sign, so every boundary operator of the system shares them.
         Computed once, read-only."""
         from . import boundary  # boundary imports this module
-        M, g_columns = boundary.assemble_mbc(self)
-        for a in (M, *g_columns.values()):
-            a.flags.writeable = False
-        return M, MappingProxyType(g_columns)
+        M, g = boundary.assemble_mbc(self)
+        M.flags.writeable = g.flags.writeable = False
+        return M, g
 
     @cached_property
-    def onsager(self):
-        """The chi-independent part of every Onsager wall of this system,
-        (Aoe, cond_Aoe_hat, K): Aoe = flux_odd_even(), the condition
-        number of its head block Aoe_hat and K = M_mbc[:, :n_o]
-        inv(Aoe_hat), so that boundary.assemble_obc's response is
-        2 beta K, symmetrized.  Computed once, read-only."""
+    def obc(self):
+        """boundary.assemble_obc of this system, (Theta_obc, diagnostics):
+        the chi-free Onsager gain and the checks of its response.  Built
+        on first use, so a system whose walls are only ever accommodation
+        walls never needs an invertible Aoe_hat.  Computed once; the gain
+        is read-only."""
         from . import boundary  # boundary imports this module
-        return boundary._onsager_terms(self)
+        theta, diagnostics = boundary.assemble_obc(self)
+        theta.flags.writeable = False
+        return theta, diagnostics
 
     @cached_property
     def characteristic(self) -> CharacteristicDecomposition:

@@ -13,7 +13,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from momentbc.basis import build_basis_set, verify_orthogonality
-from momentbc.boundary import assemble_obc, make_boundary_operator
+from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (SOURCE_AMPLITUDE, ChannelConfig, solve_steady,
                               time_march_energy)
 from momentbc.stability import check_stability
@@ -123,7 +123,13 @@ def test_criterion_05_symmetric_response_matrix():
     worst_asym, worst_eig = 0.0, 0.0
     for degree in DEGREES:
         sys_ = planar_system(degree)
-        L, diag = assemble_obc(sys_, chi=1.0)
+        # the response at full accommodation, L = 2 sym(K), and its report
+        Aoe = sys_.flux_odd_even()
+        L = 2.0 * (sys_.mbc[0][:, :sys_.n_o] @ np.linalg.inv(Aoe[:, :sys_.n_o]))
+        L = 0.5 * (L + L.T)
+        diag = make_boundary_operator(sys_, "obc", chi=1.0).diagnostics
+        assert np.array_equal(np.linalg.eigvalsh(L)[[0, -1]],
+                              [diag["min_eig_L"], diag["max_eig_L"]]), degree
         norm = max(diag["max_eig_L"], 1e-30)
         assert diag["asymmetry"] < 1e-9 * max(np.abs(L).max(), 1.0), degree
         assert diag["min_eig_L"] >= -1e-9 * norm, degree

@@ -42,6 +42,10 @@ def test_traced_sample_records_layer_spans(tmp_path, command):
     names = [span[0] for span in record["spans"]]
     # the system holds one decomposition, built once per command
     assert names.count("system.characteristic_decomposition") == 1
+    if command == "check-stability":
+        # and one chi-free gain per wall kind, however many chi it samples
+        assert names.count("boundary.assemble_mbc") == 1
+        assert names.count("boundary.assemble_obc") == 1
     checks = [span[4] for span in record["spans"]
               if span[0] == "stability.check_stability"]
     if command == "check-stability":

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from momentbc import boundary
-from momentbc.boundary import (WallData, accommodation_gain, assemble_mbc,
-                               assemble_obc, make_boundary_operator,
-                               wall_inhomogeneity)
+from momentbc.boundary import (accommodation_gain, assemble_mbc, assemble_obc,
+                               make_boundary_operator, wall_form_min)
 from momentbc.system import assemble_system, characteristic_decomposition, grad_theory
 
 from conftest import cached_system, characteristic_form
@@ -30,7 +29,7 @@ def test_mbc_first_row_is_eliminated():
 
 def test_mbc_smallest_theory_values():
     sys_ = cached_system(2)
-    M, g_cols = assemble_mbc(sys_)
+    M, g = assemble_mbc(sys_)
     bs = sys_.basis
     j_vy = bs.index_of(1, 0, ("y",)) - sys_.n_o
     # shear row: only the tangential-velocity column survives
@@ -38,9 +37,7 @@ def test_mbc_smallest_theory_values():
     expect[j_vy] = 1.0 / (2.0 * math.sqrt(math.pi))
     assert np.abs(M[1] - expect).max() < 1e-14
     # wall temperature cannot enter: no heat-flux moment to carry it
-    assert np.all(g_cols["temp"] == 0.0)
-    slip = np.array([0.0, 1.0 / (2.0 * math.sqrt(math.pi))])
-    assert np.abs(g_cols[("velocity", "y")] - slip).max() < 1e-14
+    assert np.all(g == 0.0)
 
 
 def test_mbc_slip_coefficient():
@@ -51,52 +48,69 @@ def test_mbc_slip_coefficient():
     assert bo.gain()[1, j_vy] == pytest.approx(1.0 / math.sqrt(math.pi))
 
 
-def test_mbc_held_once_per_system(monkeypatch):
-    # M_mbc and its g columns depend on neither chi, the kind nor the sign,
-    # so a system's first boundary operator assembles them and every later
-    # one reuses the same read-only arrays
-    calls = []
-    monkeypatch.setattr(boundary, "assemble_mbc",
-                        lambda sys_: calls.append(sys_) or assemble_mbc(sys_))
-    sys_ = assemble_system(grad_theory(3), normal_axis="x")  # nothing held yet
-    cases = (("mbc", 1.0, +1), ("obc", 0.6, +1), ("mbc", 0.6, -1), ("obc", 1.0, -1))
-    ops = [make_boundary_operator(sys_, kind, chi, sign) for kind, chi, sign in cases]
-    assert calls == [sys_]
-    M, g_cols = sys_.mbc
-    assert sys_.mbc[0] is M and sys_.mbc[1] is g_cols
-    assert not M.flags.writeable
-    assert not any(col.flags.writeable for col in g_cols.values())
-    with pytest.raises(TypeError):
-        g_cols["temp"] = np.zeros_like(g_cols["temp"])
-    ref_M, ref_g = assemble_mbc(sys_)
-    assert np.array_equal(M, ref_M) and g_cols.keys() == ref_g.keys()
+def test_wall_gains_held_once_per_system(monkeypatch):
+    # Theta_mbc = M_mbc, its temperature column g and Theta_obc depend on
+    # neither chi nor the sign, so a system assembles each once, the Onsager
+    # gain only when an Onsager wall is asked for, and every wall's gain is
+    # sign 2 beta Theta_kind
+    calls = {"mbc": [], "obc": []}
+    for kind in calls:
+        fn = getattr(boundary, f"assemble_{kind}")
+        monkeypatch.setattr(boundary, f"assemble_{kind}",
+                            lambda sys_, fn=fn, kind=kind: calls[kind].append(sys_) or fn(sys_))
+    sys_ = assemble_system(grad_theory(4), normal_axis="x")  # nothing held yet
+    n_o = sys_.n_o
+    cases = [(kind, chi, sign) for kind in ("mbc", "obc")
+             for chi in (0.2, 0.6, 1.0) for sign in (+1, -1)]
+    ops = []
+    for kind, chi, sign in cases:
+        ops.append(make_boundary_operator(sys_, kind, chi, sign))
+        assert calls["obc"] == ([] if kind == "mbc" else [sys_])
+    assert calls == {"mbc": [sys_], "obc": [sys_]}
+    (M, g), (theta_obc, _) = sys_.mbc, sys_.obc
+    assert sys_.mbc[0] is M and sys_.mbc[1] is g and sys_.obc[0] is theta_obc
+    assert not any(a.flags.writeable for a in (M, g, theta_obc))
+    # the parent formulas: M_mbc from assemble_mbc, and the Onsager gain as
+    # sym(2 beta K) Aoe with K = M_mbc[:, :n_o] inv(Aoe_hat)
+    ref_M, ref_g = assemble_mbc(sys_)  # the unpatched function
+    Aoe = sys_.flux_odd_even()
+    K = ref_M[:, :n_o] @ np.linalg.inv(Aoe[:, :n_o])
+    assert np.array_equal(M, ref_M) and np.array_equal(g, ref_g)
     for (kind, chi, sign), bo in zip(cases, ops):
-        assert all(np.array_equal(bo.g_columns[key], sign * ref_g[key]) for key in ref_g)
-        if kind == "mbc":
-            assert np.array_equal(bo.gain(), sign * 2.0 * accommodation_gain(chi) * ref_M)
+        beta = accommodation_gain(chi)
+        theta_kind = M if kind == "mbc" else theta_obc
+        assert np.array_equal(bo.gain(), sign * 2.0 * beta * theta_kind)
+        assert np.array_equal(bo.g, sign * ref_g)
+        if kind == "obc":
+            L_raw = 2.0 * beta * K
+            ref = sign * (0.5 * (L_raw + L_raw.T) @ Aoe)
+            if chi == 1.0:
+                assert np.array_equal(bo.gain(), ref)
+            else:
+                assert np.abs(bo.gain() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_mbc_temp_column_appears_with_heat_flux(g20x):
-    _, g_cols = assemble_mbc(g20x)
-    assert np.abs(g_cols["temp"]).max() > 0.1
-    assert g_cols["temp"][0] == 0.0
+    _, g = assemble_mbc(g20x)
+    assert np.abs(g).max() > 0.1
+    assert g[0] == 0.0
 
 
 def test_wall_inhomogeneity_linearity(g20x):
-    _, g_cols = assemble_mbc(g20x)
-    zero = wall_inhomogeneity(g_cols, WallData())
-    assert np.all(zero == 0.0)
-    g1 = wall_inhomogeneity(g_cols, WallData(temp=0.7, velocity={"y": -0.3}))
-    g2 = wall_inhomogeneity(g_cols, WallData(temp=1.4, velocity={"y": -0.6}))
-    assert np.abs(g2 - 2.0 * g1).max() == 0.0
-    assert g1[0] == 0.0
+    # the wall temperature is the only datum, and the rows' right side is
+    # linear in it
+    for kind in ("mbc", "obc"):
+        bo = make_boundary_operator(g20x, kind, 0.6, +1)
+        assert np.all(bo.rhs(0.0) == 0.0)
+        g1, g2 = bo.rhs(0.7), bo.rhs(1.4)
+        assert np.abs(g2 - 2.0 * g1).max() == 0.0
+        assert g1[0] == 0.0 and np.abs(g1).max() > 0.1
 
 
 def test_boundary_operator_shape_and_structure(g20x):
     for kind in ("mbc", "obc"):
         bo = make_boundary_operator(g20x, kind, 1.0, +1)
         assert bo.B.shape == (g20x.n_o, g20x.size)
-        assert bo.size == g20x.size
         assert np.all(bo.B[:, :g20x.n_o] == np.eye(g20x.n_o))
         assert np.abs(bo.gain() + bo.B[:, g20x.n_o:]).max() == 0.0
         # first row is pure no-penetration
@@ -115,59 +129,48 @@ def test_boundary_kind_and_sign_validation(g20x):
 
 
 def test_obc_response_matrix(g20x):
-    L, diag = assemble_obc(g20x, 1.0)
-    assert np.abs(L - L.T).max() == 0.0
-    eigs = np.linalg.eigvalsh(L)
+    theta, diag = assemble_obc(g20x)
+    # Theta_obc = sym(K) Aoe, so its wall form Aoe^T sym(K) Aoe is symmetric
+    # positive semi-definite
+    F = theta.T @ g20x.flux_odd_even()
+    assert np.abs(F - F.T).max() < 1e-12 * np.abs(F).max()
+    eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
     assert eigs.min() >= -1e-9 * eigs.max()
-    assert eigs.max() > 0.1
     # normal velocity row never relaxes
-    assert np.abs(L[0]).max() < 1e-14
-    assert np.abs(L[:, 0]).max() < 1e-14
+    assert np.abs(theta[0]).max() < 1e-14
     assert set(diag) == {"asymmetry", "cond_Aoe_hat", "min_eig_L", "max_eig_L"}
-    assert diag["min_eig_L"] >= -1e-9 * max(diag["max_eig_L"], 1.0)
-
-
-def test_onsager_terms_held_once_per_system(monkeypatch):
-    # Aoe, cond(Aoe_hat) and M_mbc[:, :n_o] inv(Aoe_hat) depend on neither
-    # chi nor the sign, so a chi scan inverts Aoe_hat once per system
-    calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
-    sys_ = assemble_system(grad_theory(4), normal_axis="x")  # nothing held yet
-    chis = (0.2, 0.4, 0.6, 0.8, 1.0)
-    ops = [make_boundary_operator(sys_, "obc", chi, sign) for chi in chis for sign in (+1, -1)]
-    assert calls == [(sys_.n_o, sys_.n_o)]
-    Aoe, cond, K = sys_.onsager
-    assert sys_.onsager[0] is Aoe and sys_.onsager[2] is K
-    assert not Aoe.flags.writeable and not K.flags.writeable
-    ref_Aoe = sys_.flux_odd_even()
-    ref_M, _ = assemble_mbc(sys_)
-    ref_inv = inv(ref_Aoe[:, :sys_.n_o])
-    assert np.array_equal(Aoe, ref_Aoe) and cond == np.linalg.cond(ref_Aoe[:, :sys_.n_o])
-    for i, chi in enumerate(chis):
-        L_raw = 2.0 * accommodation_gain(chi) * (ref_M[:, :sys_.n_o] @ ref_inv)
-        L = 0.5 * (L_raw + L_raw.T)
-        for sign, bo in zip((+1, -1), ops[2 * i:2 * i + 2]):
-            assert np.array_equal(bo.gain(), sign * (L @ ref_Aoe))
-            assert bo.diagnostics["cond_Aoe_hat"] == cond
+    # per unit 2 beta: the response at full accommodation reads twice these
+    assert diag["max_eig_L"] > 0.05
+    assert diag["min_eig_L"] >= -1e-9 * max(diag["max_eig_L"], 0.5)
+    full = make_boundary_operator(g20x, "obc", 1.0, +1).diagnostics
+    assert full == {key: value if key == "cond_Aoe_hat" else 2.0 * value
+                    for key, value in diag.items()}
 
 
 def test_obc_response_scales_with_gain(g20x):
-    L1, _ = assemble_obc(g20x, 1.0)
-    L5, _ = assemble_obc(g20x, 0.5)
+    theta1 = make_boundary_operator(g20x, "obc", 1.0, +1).gain()
+    theta5 = make_boundary_operator(g20x, "obc", 0.5, +1).gain()
     # beta(0.5)/beta(1.0) = 1/3
-    assert np.abs(L5 - L1 / 3.0).max() < 1e-14
+    assert np.abs(theta5 - theta1 / 3.0).max() < 1e-14
 
 
 def test_orientation_is_parity_conjugate(g20x):
     R = np.diag(g20x.basis.parity_signs("x"))
-    wall = WallData(temp=0.7, velocity={"y": -0.3})
     for kind in ("mbc", "obc"):
         bp = make_boundary_operator(g20x, kind, 1.0, +1)
         bm = make_boundary_operator(g20x, kind, 1.0, -1)
         assert np.abs(bm.B - (-(bp.B @ R))).max() == 0.0
         assert np.abs(bm.gain() + bp.gain()).max() == 0.0
-        assert np.abs(bm.rhs(wall) + bp.rhs(wall)).max() == 0.0
+        assert np.abs(bm.rhs(0.7) + bp.rhs(0.7)).max() == 0.0
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7, 8])
+def test_wall_form_min_flags_raw_wall(degree):
+    # G20-G165: the Onsager wall form is positive semi-definite, while the
+    # raw accommodation wall draws energy from some even state at every chi
+    sys_ = cached_system(degree)
+    assert wall_form_min(sys_, "obc") >= -1e-12
+    assert wall_form_min(sys_, "mbc") < 0.0
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])

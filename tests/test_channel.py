@@ -101,10 +101,10 @@ def test_steady_solution_quality(sol_g20):
 
 def test_steady_wall_rows_hold(sol_g20):
     sys_ = cached_system(3, normal="y", axes=("y",))
-    wall = sol_g20.config.wall_data()
     for sign, node in ((+1, -1), (-1, 0)):
         bo = make_boundary_operator(sys_, "obc", 1.0, sign)
-        assert np.abs(bo.B @ sol_g20.alpha[node] - bo.rhs(wall)).max() < 1e-10
+        rhs = bo.rhs(sol_g20.config.wall_temp)
+        assert np.abs(bo.B @ sol_g20.alpha[node] - rhs).max() < 1e-10
 
 
 def test_steady_heat_balance_pointwise(sol_g20):
@@ -268,10 +268,9 @@ def test_modal_solution_quality_and_diagnostics():
     assert d["heat_flux_defect"] < 1e-13
     assert d["symmetry_error"] < 1e-13
     assert abs(sol.fields["rho"].sum()) < 1e-12
-    wall = sol.config.wall_data()
     for sign, node in ((+1, -1), (-1, 0)):
         bo = make_boundary_operator(sys_, "obc", 1.0, sign)
-        assert np.abs(bo.B @ sol.alpha[node] - bo.rhs(wall)).max() < 1e-13
+        assert np.abs(bo.B @ sol.alpha[node] - bo.rhs(sol.config.wall_temp)).max() < 1e-13
 
 
 def test_modal_smallest_theory_cannot_balance_heating():
@@ -666,7 +665,7 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
                             sys=sys_, record_every=record_every)
     alpha0 = (np.zeros((N, m)) if init == "zero"
               else np.random.default_rng(4).standard_normal((N, m)))
-    alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_data(), sys_.n_o)
+    alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_temp, sys_.n_o)
     limit = _BLOWUP_FACTOR * max(h * np.einsum("ij,jk,ik->", alpha0, sys_.S, alpha0),
                                  np.abs(b).max() ** 2, 1.0)
     return res, b, _csr_march(M, b, alpha0.ravel(), res.dt, steps, sys_.S, h,

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage; everything in-process except one script check."""
 import csv
+import itertools
 import json
 import os
 import re
@@ -145,6 +146,26 @@ def test_usage_errors_exit_one(capsys, tmp_path, argv):
     assert "error" in err
 
 
+# custom theories of max rank <= 3 and radial counts 1-3 without a wall
+# temperature (first count 1) or normal velocity (rank 0 only): 39 + 3
+WALLLESS = [m for m in (",".join(map(str, c)) for r in range(4)
+                        for c in itertools.product((1, 2, 3), repeat=r + 1))
+            if m.startswith("1") or "," not in m]
+
+
+def test_wallless_theories_fail_in_one_line(capsys):
+    assert len(WALLLESS) == 42
+    commands = (("check-stability",), ("solve-channel", "--grid", "16"),
+                ("energy-march", "--grid", "16", "--t-final", "0.01"))
+    for m in WALLLESS:
+        for command in commands:
+            rc, out, err = run_cli(capsys, *command, "--theory", "custom", "--m", m)
+            assert (rc, out) == (1, ""), (m, command)
+            assert err.startswith("momentbc: error: ") and err.count("\n") == 1, err
+        # assembling such a theory needs no wall
+        assert run_json(capsys, "assemble", "--theory", "custom", "--m", m)["theory"]
+
+
 def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -176,6 +197,12 @@ def test_check_stability_single_kind(capsys):
     assert rep["verdict"] == "unstable"
     assert rep["stable"] is False
     assert rep["kernel_ok"] is False
+    assert list(rep["wall_form_min"]) == ["mbc"] and rep["wall_form_min"]["mbc"] < 0.0
+    # a raw wall alone never builds the Onsager gain, whose head block is
+    # singular for this theory
+    run_json(capsys, "check-stability", "--theory", "custom", "--m", "2,2", "--bc", "mbc")
+    rc, _, err = run_cli(capsys, "check-stability", "--theory", "custom", "--m", "2,2")
+    assert rc == 2 and "odd-even flux head block near singular" in err
     rep = run_json(capsys, "check-stability", "--theory", "G20", "--bc", "obc")
     assert rep["verdict"] == "stable"
     assert rep["kernel_residual"] < 1e-9
@@ -189,6 +216,10 @@ def test_check_stability_combined(capsys):
     assert rep["min_eig_L"] >= -1e-9
     assert rep["kernel_residuals"]["mbc"] > 0.1
     assert rep["kernel_residuals"]["obc"] < 1e-9
+    assert rep["wall_form_min"]["mbc"] < 0.0 <= rep["wall_form_min"]["obc"] + 1e-12
+    # with no stress moment both wall forms vanish, and read zero
+    rep = run_json(capsys, "check-stability", "--theory", "custom", "--m", "2,1")
+    assert rep["wall_form_min"] == {"mbc": 0.0, "obc": 0.0}
 
 
 def test_check_stability_scan(capsys):
@@ -196,6 +227,7 @@ def test_check_stability_scan(capsys):
                    "--scan-chi", "0.5:1.0:3")
     scan = rep["scan"]
     assert len(scan) == 3
+    assert set(rep["wall_form_min"]) == {"mbc", "obc"}  # once, not per chi
     assert [s["chi"] for s in scan] == [0.5, 0.75, 1.0]
     assert all(s["obc_stable"] for s in scan)
     for entry in scan:
