@@ -48,46 +48,64 @@ def test_mbc_slip_coefficient():
     assert bo.gain()[1, j_vy] == pytest.approx(1.0 / math.sqrt(math.pi))
 
 
-def test_wall_gains_held_once_per_system(monkeypatch):
-    # Theta_mbc = M_mbc, its temperature column g and Theta_obc depend on
-    # neither chi nor the sign, so a system assembles each once, the Onsager
-    # gain only when an Onsager wall is asked for, and every wall's gain is
-    # sign 2 beta Theta_kind
-    calls = {"mbc": [], "obc": []}
-    for kind in calls:
-        fn = getattr(boundary, f"assemble_{kind}")
-        monkeypatch.setattr(boundary, f"assemble_{kind}",
-                            lambda sys_, fn=fn, kind=kind: calls[kind].append(sys_) or fn(sys_))
-    sys_ = assemble_system(grad_theory(4), normal_axis="x")  # nothing held yet
-    n_o = sys_.n_o
-    cases = [(kind, chi, sign) for kind in ("mbc", "obc")
-             for chi in (0.2, 0.6, 1.0) for sign in (+1, -1)]
-    ops = []
-    for kind, chi, sign in cases:
-        ops.append(make_boundary_operator(sys_, kind, chi, sign))
-        assert calls["obc"] == ([] if kind == "mbc" else [sys_])
-    assert calls == {"mbc": [sys_], "obc": [sys_]}
-    (M, g), (theta_obc, _) = sys_.mbc, sys_.obc
-    assert sys_.mbc[0] is M and sys_.mbc[1] is g and sys_.obc[0] is theta_obc
-    assert not any(a.flags.writeable for a in (M, g, theta_obc))
-    # the parent formulas: M_mbc from assemble_mbc, and the Onsager gain as
-    # sym(2 beta K) Aoe with K = M_mbc[:, :n_o] inv(Aoe_hat)
+def test_mbc_held_once_per_system(monkeypatch):
+    # M_mbc and its temperature column g depend on neither chi, the kind nor
+    # the sign, so a system's first boundary operator assembles them, every
+    # later one reuses the same read-only arrays, and an accommodation
+    # wall's gain is sign 2 beta M_mbc
+    calls = []
+    monkeypatch.setattr(boundary, "assemble_mbc",
+                        lambda sys_: calls.append(sys_) or assemble_mbc(sys_))
+    sys_ = assemble_system(grad_theory(3), normal_axis="x")  # nothing held yet
+    cases = (("mbc", 1.0, +1), ("obc", 0.6, +1), ("mbc", 0.6, -1), ("obc", 1.0, -1))
+    ops = [make_boundary_operator(sys_, kind, chi, sign) for kind, chi, sign in cases]
+    assert calls == [sys_]
+    M, g = sys_.mbc
+    assert sys_.mbc[0] is M and sys_.mbc[1] is g
+    assert not M.flags.writeable and not g.flags.writeable
     ref_M, ref_g = assemble_mbc(sys_)  # the unpatched function
-    Aoe = sys_.flux_odd_even()
-    K = ref_M[:, :n_o] @ np.linalg.inv(Aoe[:, :n_o])
     assert np.array_equal(M, ref_M) and np.array_equal(g, ref_g)
     for (kind, chi, sign), bo in zip(cases, ops):
-        beta = accommodation_gain(chi)
-        theta_kind = M if kind == "mbc" else theta_obc
-        assert np.array_equal(bo.gain(), sign * 2.0 * beta * theta_kind)
         assert np.array_equal(bo.g, sign * ref_g)
-        if kind == "obc":
-            L_raw = 2.0 * beta * K
-            ref = sign * (0.5 * (L_raw + L_raw.T) @ Aoe)
+        if kind == "mbc":
+            assert np.array_equal(bo.gain(), sign * 2.0 * accommodation_gain(chi) * ref_M)
+
+
+def test_onsager_terms_held_once_per_system(monkeypatch):
+    # Theta_obc = sym(K) Aoe with K = M_mbc[:, :n_o] inv(Aoe_hat) depends on
+    # neither chi nor the sign, so a system builds it only when an Onsager
+    # wall is first asked for, a chi scan inverts Aoe_hat once, and every
+    # Onsager wall's gain is sign 2 beta Theta_obc
+    calls = {"obc": [], "inv": []}
+    monkeypatch.setattr(boundary, "assemble_obc",
+                        lambda sys_: calls["obc"].append(sys_) or assemble_obc(sys_))
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls["inv"].append(a.shape) or inv(a))
+    sys_ = assemble_system(grad_theory(4), normal_axis="x")  # nothing held yet
+    n_o = sys_.n_o
+    make_boundary_operator(sys_, "mbc", 1.0, +1)
+    assert calls == {"obc": [], "inv": []}
+    chis = (0.2, 0.4, 0.6, 0.8, 1.0)
+    ops = [make_boundary_operator(sys_, "obc", chi, sign) for chi in chis for sign in (+1, -1)]
+    assert calls == {"obc": [sys_], "inv": [(n_o, n_o)]}
+    theta_obc, diag = sys_.obc
+    assert sys_.obc[0] is theta_obc and not theta_obc.flags.writeable
+    # the parent formula: sym(2 beta K) Aoe
+    ref_M, _ = assemble_mbc(sys_)
+    Aoe = sys_.flux_odd_even()
+    K = ref_M[:, :n_o] @ inv(Aoe[:, :n_o])
+    assert diag["cond_Aoe_hat"] == np.linalg.cond(Aoe[:, :n_o])
+    for i, chi in enumerate(chis):
+        beta = accommodation_gain(chi)
+        L_raw = 2.0 * beta * K
+        ref = 0.5 * (L_raw + L_raw.T) @ Aoe
+        for sign, bo in zip((+1, -1), ops[2 * i:2 * i + 2]):
+            assert np.array_equal(bo.gain(), sign * 2.0 * beta * theta_obc)
+            assert bo.diagnostics["cond_Aoe_hat"] == diag["cond_Aoe_hat"]
             if chi == 1.0:
-                assert np.array_equal(bo.gain(), ref)
+                assert np.array_equal(bo.gain(), sign * ref)
             else:
-                assert np.abs(bo.gain() - ref).max() <= 1e-14 * np.abs(ref).max()
+                assert np.abs(bo.gain() - sign * ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_mbc_temp_column_appears_with_heat_flux(g20x):
