@@ -244,6 +244,25 @@ class BasisSet:
         return np.array([-1.0 if parity(bf.component, axis) == "odd" else 1.0
                          for bf in self.entries])
 
+    @cached_property
+    def parity_classes(self) -> tuple:
+        """Moment indices of each tangential-parity class, all-even class first.
+
+        A class holds the moments that share one tuple of parity_signs(a)
+        over the axes a other than the wall normal.  The flux along the
+        normal, the symmetrizer, the relaxation, both wall gains and the
+        heating keep these parities, so the march operator and every wall
+        certificate split over the classes: two planar (x even or odd),
+        four in full3d.  Computed once, read-only.
+        """
+        signs = np.array([self.parity_signs(a) for a in "xyz"
+                          if a != self.normal_axis]).T
+        keys = sorted(set(map(tuple, signs.tolist())), reverse=True)
+        classes = tuple(np.flatnonzero((signs == key).all(axis=1)) for key in keys)
+        for idx in classes:
+            idx.flags.writeable = False
+        return classes
+
     def blocks(self):
         """Distinct (rank, radial) pairs with their global column indices."""
         seen = {}

@@ -121,7 +121,6 @@ class BoundaryOperator:
     kind: str
     beta: float
     n_o: int
-    n_e: int
     B: np.ndarray
     g: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -156,5 +155,5 @@ def make_boundary_operator(sys: MomentSystem, kind: str = "obc",
     diagnostics = {key: value if key == "cond_Aoe_hat" else 2.0 * beta * value
                    for key, value in held.items()}
     B = np.hstack([np.eye(sys.n_o), -theta])
-    return BoundaryOperator(kind=kind, beta=beta, n_o=sys.n_o, n_e=sys.n_e, B=B,
+    return BoundaryOperator(kind=kind, beta=beta, n_o=sys.n_o, B=B,
                             g=sign * sys.mbc[1], diagnostics=diagnostics)

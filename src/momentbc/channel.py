@@ -727,20 +727,6 @@ def _step_operator(Z, b, dt: float, N: int):
     return R.reshape(n, m, n, m), dt * states[1]
 
 
-def _parity_classes(bs: BasisSet, normal_axis: str) -> list:
-    """Moment indices of each tangential-parity class, all-even class first.
-
-    A class holds the moments that share one tuple of parity_signs(a) over
-    the axes a other than the wall normal.  The flux along the normal, the
-    relaxation, both wall operators and the heating keep these parities,
-    so the march operator is block diagonal over the classes: two planar
-    (x even or odd), four in full3d.
-    """
-    signs = np.array([bs.parity_signs(a) for a in "xyz" if a != normal_axis]).T
-    keys = sorted(set(map(tuple, signs.tolist())), reverse=True)
-    return [np.flatnonzero((signs == key).all(axis=1)) for key in keys]
-
-
 def _decoupling_defect(Z, classes) -> float:
     """Largest entry of M (grid form Z) between parity classes, over max|M|."""
     label = np.empty(Z.shape[1], dtype=int)
@@ -786,7 +772,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     init is 'zero', 'random' (seeded nodal noise) or an (N, m) array; wall
     odd moments are made consistent with the boundary relation before the
     march.  The march operator is block diagonal over the tangential-parity
-    classes (_parity_classes), so each class is marched on its own, in
+    classes (BasisSet.parity_classes), so each class is marched on its own, in
     the variables w = L_c^T u with S_c = L_c L_c^T (_class_operator); the
     cross-class entries of M are round-off and are dropped, and the
     largest of them, over max|M|, is the result's decoupling_defect.
@@ -832,7 +818,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
 
     start = time.perf_counter()
     Z, b = _march_operator(cfg, sys, bc_upper, bc_lower)
-    classes = _parity_classes(sys.basis, sys.normal_axis)
+    classes = sys.basis.parity_classes
     defect = _decoupling_defect(Z, classes)
     # each row holds the classes side by side, class c as its (N, m_c)
     # state in S-orthonormal variables; row _BATCH + 1 is scratch

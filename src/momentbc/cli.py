@@ -47,7 +47,7 @@ from .basis import verify_orthogonality
 from .boundary import accommodation_gain, make_boundary_operator, wall_form_min
 from .channel import (ChannelConfig, reference_solution, solve_steady,
                       time_march_energy)
-from .stability import check_stability
+from .stability import check_stability, wall_certificate
 from .system import (MomentTheory, assemble_system, theory_from_name,
                      verify_full_symmetry)
 from .tensor import FULL3D, PLANAR
@@ -320,7 +320,7 @@ def cmd_assemble(args: argparse.Namespace) -> dict | None:
 def _stability_payload(sys_, kind, chi) -> dict:
     bc = make_boundary_operator(sys_, kind=kind, chi=chi)
     rep = check_stability(sys_.characteristic, bc.B)
-    return {
+    payload = {
         "bc": kind,
         "verdict": rep.verdict,
         "stable": rep.stable,
@@ -329,8 +329,10 @@ def _stability_payload(sys_, kind, chi) -> dict:
         "min_schur_eig": rep.min_schur_eig,
         "reflection_cond": rep.reflection_cond,
         "details": rep.details,
-        "obc_diagnostics": dict(bc.diagnostics),
     }
+    if kind == "obc":
+        payload["obc_diagnostics"] = dict(bc.diagnostics)
+    return payload
 
 
 def _combined_stability(sys_, chi) -> dict:
@@ -340,8 +342,8 @@ def _combined_stability(sys_, chi) -> dict:
         "chi": chi,
         "mbc_stable": mbc["stable"],
         "obc_stable": obc["stable"],
-        "min_eig_L": obc["obc_diagnostics"].get("min_eig_L"),
-        "cond_Aoe_hat": obc["obc_diagnostics"].get("cond_Aoe_hat"),
+        "min_eig_L": obc["obc_diagnostics"]["min_eig_L"],
+        "cond_Aoe_hat": obc["obc_diagnostics"]["cond_Aoe_hat"],
         "kernel_residuals": {"mbc": mbc["kernel_residual"],
                              "obc": obc["kernel_residual"]},
         "min_schur_eig": {"mbc": mbc["min_schur_eig"],
@@ -367,15 +369,33 @@ def cmd_check_stability(args: argparse.Namespace) -> dict:
     axis = args.normal_axis
     sys_ = assemble_system(theory, normal_axis=axis, axes=(axis,))
     if args.scan_chi:
-        payload = {"scan": [_combined_stability(sys_, c) for c in chis]}
+        # one check per kind, at the largest gain, verifies the certificates
+        payload = {"checked": _combined_stability(sys_, 1.0)}
     elif args.bc:
         payload = _stability_payload(sys_, args.bc, args.chi)
         payload["chi"] = args.chi
     else:
         payload = _combined_stability(sys_, args.chi)
+    kinds = (args.bc,) if args.bc else ("mbc", "obc")
+    certificates = {kind: wall_certificate(sys_, kind) for kind in kinds}
+    if args.scan_chi:
+        for kind, cert in certificates.items():
+            if cert.stable != payload["checked"][f"{kind}_stable"]:
+                raise RuntimeError(f"{kind} wall certificate reads {cert.verdict}, "
+                                   f"against its check at chi = 1")
+        # the certificates hold at every chi; the response scales by 2 beta
+        held = sys_.obc[1]
+        payload["scan"] = [{"chi": c,
+                            "mbc_stable": certificates["mbc"].stable,
+                            "obc_stable": certificates["obc"].stable,
+                            "min_eig_L": 2.0 * accommodation_gain(c) * held["min_eig_L"],
+                            "cond_Aoe_hat": held["cond_Aoe_hat"]} for c in chis]
     payload["theory"] = theory.name
-    payload["wall_form_min"] = {kind: wall_form_min(sys_, kind)
-                                for kind in ((args.bc,) if args.bc else ("mbc", "obc"))}
+    payload["wall_form_min"] = {kind: wall_form_min(sys_, kind) for kind in kinds}
+    payload["wall_certificate"] = {
+        kind: {"verdict": cert.verdict, "kernel_defect": list(cert.kernel_defect),
+               "form_min": list(cert.form_min)}
+        for kind, cert in certificates.items()}
     return payload
 
 

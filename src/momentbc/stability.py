@@ -2,8 +2,10 @@
 
 A boundary operator is admissible when the kernel of the wall-normal flux
 lies in its kernel and the boundary quadratic form is nonnegative on the
-reflected incoming characteristics.  Both conditions are evaluated
-numerically from the characteristic decomposition.
+reflected incoming characteristics.  check_stability evaluates both
+conditions numerically from the characteristic decomposition, for one
+operator.  wall_certificate evaluates them once for a wall kind, for every
+accommodation coefficient at once, per tangential-parity class.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system import CharacteristicDecomposition
+from .boundary import _held_gain
+from .system import _ZERO_TOL, CharacteristicDecomposition, MomentSystem
 
 
 @dataclass(frozen=True)
@@ -98,3 +101,76 @@ def check_stability(dec: CharacteristicDecomposition, B: np.ndarray) -> Stabilit
                            kernel_residual=kernel_residual,
                            min_schur_eig=min_eig, schur=schur,
                            reflection_cond=cond, details=details)
+
+
+@dataclass(frozen=True)
+class WallCertificate:
+    """Chi-free admissibility of one wall kind, one entry per
+    tangential-parity class (BasisSet.parity_classes)."""
+
+    kind: str
+    kernel_defect: tuple   # |Theta_c Z_c| / |Theta_c S_c^-1/2| per class
+    form_min: tuple        # lambda_min / max|lambda| of sym(Theta_c^T Aoe_c)
+
+    @property
+    def class_stable(self) -> tuple:
+        return tuple(defect < _KERNEL_TOL and form >= -_PSD_TOL
+                     for defect, form in zip(self.kernel_defect, self.form_min))
+
+    @property
+    def verdict(self) -> str:
+        return "stable" if all(self.class_stable) else "unstable"
+
+    @property
+    def stable(self) -> bool:
+        return self.verdict == "stable"
+
+
+def wall_certificate(sys: MomentSystem, kind: str) -> WallCertificate:
+    """Admissibility of every wall B = [I | -sign 2 beta Theta_kind] of one
+    kind, whatever the accommodation coefficient, from the held gain.
+
+    The standing modes of the normal flux are (0, z) with Aoe z = 0, so
+    B annihilates them iff Theta_kind z = 0, and on the rows' kernel the
+    wall's energy flux is 2 beta u_e^T Theta_kind^T Aoe u_e: neither
+    condition depends on beta > 0, and the sign conjugates both alike.
+    The symmetrizer, Aoe and both gains keep the tangential parities, so
+    each class c is judged on its own blocks Theta_c and Aoe_c, in
+    S-orthonormal variables: Z_c is an S-orthonormal basis of the null
+    space of Aoe_c, cut where the characteristic decomposition cuts its
+    standing modes.  The kernel defect is |Theta_c Z_c| / |Theta_c
+    S_c^-1/2| in Frobenius norms: the share of the gain, in S-orthonormal
+    variables, that acts on standing modes, whatever basis Z_c the SVD
+    picks (0 where Theta_c vanishes).  The wall form's reading is
+    lambda_min / max|lambda| of sym(Theta_c^T Aoe_c) (0 where the form
+    vanishes).  A class passes when its defect is below _KERNEL_TOL and
+    its form above -_PSD_TOL.  Raises if a standing mode has an odd part,
+    since rows [I | -theta] cannot annihilate it.
+    """
+    theta = _held_gain(sys, kind)[0]
+    dec = sys.characteristic
+    n_o = sys.n_o
+    Aoe = sys.flux_odd_even()
+    # S^-1/2 keeps the parities apart too: in S-orthonormal variables the
+    # flux block's singular values are the characteristic speeds
+    half_e = dec.S_half_inv[n_o:, n_o:]
+    C = dec.S_half_inv[:n_o, :n_o] @ Aoe @ half_e
+    T = theta @ half_e
+    cut = _ZERO_TOL * max(dec.max_speed, 1.0)
+    defects, forms = [], []
+    for idx in sys.basis.parity_classes:
+        block = np.ix_(idx[idx < n_o], idx[idx >= n_o] - n_o)
+        _, speeds, Vt = np.linalg.svd(C[block])
+        rank = int(np.count_nonzero(speeds > cut))
+        if rank < len(block[0]):
+            raise ValueError(f"{len(block[0]) - rank} standing modes with an odd "
+                             f"part: no wall [I | -theta] annihilates them")
+        T_c = T[block]
+        scale = float(np.linalg.norm(T_c))
+        defect = float(np.linalg.norm(T_c @ Vt[rank:].T))
+        defects.append(defect / scale if scale > 0 else defect)
+        F = theta[block].T @ Aoe[block]
+        eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
+        scale = float(np.abs(eigs).max(initial=0.0))
+        forms.append(float(eigs[0]) / scale if scale > 0 else 0.0)
+    return WallCertificate(kind=kind, kernel_defect=tuple(defects), form_min=tuple(forms))

@@ -16,7 +16,7 @@ from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
                               _apply_wall_state, _block_toeplitz_apply,
                               _class_operator, _decoupling_defect, _deflation,
                               _grid_operator, _march_operator, _operator_terms,
-                              _parity_classes, _pencil_modes, _phi,
+                              _pencil_modes, _phi,
                               _polynomial_part, _steady_operator,
                               _step_operator, extract_fields,
                               reference_solution, solve_modal,
@@ -579,7 +579,7 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     assert np.abs(r - ref_r).max() <= 1e-14 * np.abs(ref_r).max()
 
     m = sys_.size
-    for idx in _parity_classes(sys_.basis, "y"):
+    for idx in sys_.basis.parity_classes:
         L = np.linalg.cholesky(sys_.S[np.ix_(idx, idx)])
         R_c, r_c = _step_operator(*_class_operator(Z, b, idx, L), dt, n_grid)
         assert R_c.shape == (13, idx.size, 13, idx.size)
@@ -605,7 +605,7 @@ def test_march_operator_parity_classes(degree, reduction, bc_kind, chi):
     cfg = make_config(theory=grad_theory(degree, reduction), n_grid=16,
                       bc_kind=bc_kind, chi=chi)
     Z, b = _march_operator(*_operator_setup(cfg, sys_))
-    classes = _parity_classes(sys_.basis, "y")
+    classes = sys_.basis.parity_classes
     m = sys_.size
     assert len(classes) == (2 if reduction == "planar" else 4)
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(m))

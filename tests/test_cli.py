@@ -14,6 +14,7 @@ import pytest
 import momentbc
 from momentbc.basis import build_basis_set
 from momentbc.cli import FLOAT_FMT, _write_csv, build_parser, main, parse_args
+from momentbc.stability import WallCertificate
 from momentbc.system import theory_from_name
 
 from conftest import cached_system
@@ -228,15 +229,43 @@ def test_check_stability_scan(capsys):
     scan = rep["scan"]
     assert len(scan) == 3
     assert set(rep["wall_form_min"]) == {"mbc", "obc"}  # once, not per chi
+    assert set(rep["wall_certificate"]) == {"mbc", "obc"}
     assert [s["chi"] for s in scan] == [0.5, 0.75, 1.0]
     assert all(s["obc_stable"] for s in scan)
+    # each chi reads the chi-free certificates: the verdicts are each chi's
+    # own check, and the response's eigenvalue its own scaling
     for entry in scan:
         for kind in ("mbc", "obc"):
-            value = entry["min_schur_eig"][kind]
-            assert np.isfinite(value), (entry["chi"], kind)
             single = run_json(capsys, "check-stability", "--theory", "G20",
                               "--bc", kind, "--chi", str(entry["chi"]))
-            assert value == single["min_schur_eig"], (entry["chi"], kind)
+            assert entry[f"{kind}_stable"] == single["stable"], (entry["chi"], kind)
+        assert entry["min_eig_L"] == single["obc_diagnostics"]["min_eig_L"]
+    # the Schur readings are one check per kind, at full accommodation
+    combined = run_json(capsys, "check-stability", "--theory", "G20", "--chi", "1.0")
+    for key in ("kernel_residuals", "min_schur_eig"):
+        assert rep["checked"][key] == combined[key], key
+
+
+def test_check_stability_scan_disagreement_exits_two(capsys, monkeypatch):
+    # a certificate that contradicts the check at chi = 1 is a numerical failure
+    monkeypatch.setattr("momentbc.cli.wall_certificate", lambda sys_, kind:
+                        WallCertificate(kind=kind, kernel_defect=(1.0,), form_min=(0.0,)))
+    rc, out, err = run_cli(capsys, "check-stability", "--theory", "G20",
+                           "--scan-chi", "0.5:1.0:3")
+    assert (rc, out) == (2, "")
+    assert err.startswith("momentbc: numerical verification failure: obc ")
+    assert err.count("\n") == 1
+
+
+def test_check_stability_obc_diagnostics_only_for_obc(capsys):
+    rep = run_json(capsys, "check-stability", "--theory", "G20", "--bc", "mbc")
+    assert "obc_diagnostics" not in rep
+    assert list(rep["wall_certificate"]) == ["mbc"]
+    assert rep["wall_certificate"]["mbc"]["verdict"] == rep["verdict"]
+    rep = run_json(capsys, "check-stability", "--theory", "G20", "--bc", "obc")
+    assert set(rep["obc_diagnostics"]) == {"asymmetry", "cond_Aoe_hat",
+                                           "min_eig_L", "max_eig_L"}
+    assert list(rep["wall_certificate"]) == ["obc"]
 
 
 def test_solve_channel_csv(capsys, tmp_path):

@@ -6,8 +6,9 @@ import pytest
 
 from momentbc.basis import verify_orthogonality
 from momentbc.boundary import make_boundary_operator
-from momentbc.stability import check_stability
-from momentbc.system import characteristic_decomposition, verify_full_symmetry
+from momentbc.stability import check_stability, wall_certificate
+from momentbc.system import (MomentTheory, assemble_system,
+                             characteristic_decomposition, verify_full_symmetry)
 
 from conftest import cached_system, characteristic_form
 
@@ -170,3 +171,72 @@ def test_obc_verdict_matches_direct_energy_probe(degree):
         worst = min(worst, direct_form(sys_, alpha))
     assert worst >= -1e-9
     assert report(degree, "obc").stable
+
+
+# the custom theories whose walls pass check-stability's structural checks
+CUSTOM_WALLED = ("2,1", "3,1", "2,1,1", "2,2,1", "3,1,1", "3,2,1", "2,2,1,1",
+                 "2,2,2,1", "3,2,1,1", "3,2,2,1")
+
+
+def custom_system(m):
+    counts = tuple(int(tok) for tok in m.split(","))
+    theory = MomentTheory(max_rank=len(counts) - 1, radial_counts=counts)
+    return assemble_system(theory, normal_axis="x", axes=("x",))
+
+
+@pytest.mark.parametrize("kind", ["mbc", "obc"])
+@pytest.mark.parametrize("case", [(d, "planar") for d in range(2, 9)]
+                         + [(d, "full3d") for d in range(2, 5)] + list(CUSTOM_WALLED))
+def test_wall_certificate_matches_check_at_every_chi(case, kind):
+    sys_ = custom_system(case) if isinstance(case, str) else cached_system(*case)
+    cert = wall_certificate(sys_, kind)
+    assert len(cert.kernel_defect) == len(sys_.basis.parity_classes)
+    for chi in (0.2, 0.6, 1.0):
+        B = make_boundary_operator(sys_, kind, chi).B
+        assert cert.verdict == check_stability(sys_.characteristic, B).verdict, chi
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7, 8])
+def test_wall_certificate_parity_class_table(degree):
+    # the raw accommodation wall fails on one tangential-parity class only:
+    # the odd class (shear) at odd degree, the even class (heat conduction)
+    # at even degree; the Onsager wall passes both
+    sys_ = cached_system(degree)
+    mbc, obc = wall_certificate(sys_, "mbc"), wall_certificate(sys_, "obc")
+    failing = 1 if degree % 2 else 0
+    assert mbc.class_stable == tuple(c != failing for c in range(2))
+    assert mbc.kernel_defect[failing] > 0.1 and mbc.form_min[failing] < -1e-4
+    assert mbc.verdict == "unstable"
+    assert obc.class_stable == (True, True) and obc.stable
+    assert max(obc.kernel_defect) < 1e-14
+    # on the class it passes, the raw wall is the Onsager wall
+    assert mbc.form_min[1 - failing] == pytest.approx(obc.form_min[1 - failing],
+                                                      rel=1e-12, abs=1e-30)
+
+
+def test_wall_certificate_rejects_odd_standing_modes():
+    # --m 2,3: one standing mode has an odd part, so no wall [I | -theta]
+    # is admissible and the check has fewer incoming characteristics than
+    # boundary rows
+    sys_ = custom_system("2,3")
+    with pytest.raises(ValueError, match="odd part"):
+        wall_certificate(sys_, "mbc")
+    with pytest.raises(ValueError, match="boundary rows"):
+        check_stability(sys_.characteristic, make_boundary_operator(sys_, "mbc").B)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_wall_certificate_form_decides_where_kernel_holds(degree, monkeypatch):
+    # the Onsager gain with its sign flipped still annihilates the standing
+    # modes, but its wall form turns negative: the certificate and the check
+    # both reject it on the form alone
+    sys_ = cached_system(degree)
+    theta = sys_.obc[0]
+    monkeypatch.setattr("momentbc.stability._held_gain", lambda sys, kind: (-theta, {}))
+    cert = wall_certificate(sys_, "obc")
+    assert max(cert.kernel_defect) < 1e-14
+    assert min(cert.form_min) < -0.1 and cert.verdict == "unstable"
+    for chi in (0.2, 1.0):
+        B = np.hstack([np.eye(sys_.n_o), 2.0 * (chi / (2.0 - chi)) * theta])
+        rep = check_stability(sys_.characteristic, B)
+        assert rep.kernel_ok and rep.verdict == "unstable", chi
