@@ -71,7 +71,7 @@ def assemble_obc(sys: MomentSystem):
     accommodation, 2 sym(K), the strictest of every chi's.
     """
     n_o = sys.n_o
-    Aoe = sys.flux_odd_even()
+    Aoe = sys.flux_odd_even
     Ahat = Aoe[:, :n_o]
     cond = float(np.linalg.cond(Ahat))
     if not np.isfinite(cond) or cond > 1e12:
@@ -103,7 +103,7 @@ def wall_form_min(sys: MomentSystem, kind: str) -> float:
     the sign is the same at every chi; below zero some even state draws
     energy, which check_stability's Schur form does not see when the wall
     also fails the kernel condition."""
-    F = _held_gain(sys, kind)[0].T @ sys.flux_odd_even()
+    F = _held_gain(sys, kind)[0].T @ sys.flux_odd_even
     eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
     scale = float(np.abs(eigs).max())
     return float(eigs.min()) / scale if scale > 0 else 0.0

@@ -31,7 +31,8 @@ of squares.  Each step applies a class's shared row to super-nodes of b
 consecutive nodes: one BLAS GEMM of a contiguous copy of the overlapping
 windows of its state with a block-banded matrix that holds the row b
 times, so each GEMM row writes b nodes, plus one batched product for both
-walls.
+walls.  Those numpy calls, for every class, are bound once before the
+march, so the step loop pays for the calls and their arithmetic only.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -647,7 +649,7 @@ def _march_operator(cfg, sys, bc_upper, bc_lower):
     return Z, b
 
 
-def _block_toeplitz_apply(Z, N: int, states: np.ndarray):
+def _block_toeplitz_calls(Z, N: int, states: np.ndarray):
     """Bind an operator D in grid form (_grid_operator) to state buffers.
 
     Z is the (w, m, w, m) grid form, read as half-width k = w // 2: W is
@@ -660,13 +662,16 @@ def _block_toeplitz_apply(Z, N: int, states: np.ndarray):
     s, nodes k + sb .. k + sb + b - 1, is the window of nodes
     sb .. sb + b - 1 + 2k times the ((b + 2k) m, b m) band that holds W b
     times, each copy one node lower.  The windows overlap, so they are
-    first copied into a contiguous buffer, which repeats each state entry
-    1 + 2k/b times.  The (N - 2k) mod b interior nodes left over next to
-    the upper wall are their own window, a contiguous run of the state,
-    times the band's leading block.  Both walls are one batched matmul over
-    the state's first and last 2k nodes.  The views of every buffer are
-    built here, once.  Returns apply(i, j), which writes D states[i] into
-    states[j].
+    first copied, by slice assignment, into a contiguous buffer, which
+    repeats each state entry 1 + 2k/b times; np.dot then hands the
+    C-contiguous product to BLAS's GEMM, the call np.matmul makes, without
+    the generalized-ufunc dispatch.  The (N - 2k) mod b interior nodes left
+    over next to the upper wall are their own window, a contiguous run of
+    the state, times the band's leading block; that product is bound only
+    where they exist.  Both walls are one batched matmul over the state's
+    first and last 2k nodes.  The views of every buffer are built here,
+    once.  Returns calls(i, j): the tuple of numpy calls, bound to their
+    arguments, that write D states[i] into states[j].
     """
     w, m = Z.shape[:2]
     k = w // 2
@@ -693,12 +698,28 @@ def _block_toeplitz_apply(Z, N: int, states: np.ndarray):
     walls = list(np.lib.stride_tricks.as_strided(
         states, (n, 2, k * m, 1), (step, (N - k) * m * item, item, item)))
 
+    def calls(i, j):
+        leftover = (partial(np.dot, tails[i], tail, ends[j]),) if left else ()
+        return (partial(window.__setitem__, Ellipsis, windows[i]),
+                partial(np.dot, window, band, inner[j]),
+                *leftover,
+                partial(np.matmul, E, spans[i], walls[j]))
+
+    return calls
+
+
+def _block_toeplitz_apply(Z, N: int, states: np.ndarray):
+    """Bind an operator D in grid form to state buffers as one function:
+    apply(i, j) makes the calls that _block_toeplitz_calls binds for
+    D states[i] -> states[j].  For a single product, such as the step
+    operator's source term; the march strings together the bound calls of
+    all its classes and steps instead (time_march_energy).
+    """
+    calls = _block_toeplitz_calls(Z, N, states)
+
     def apply(i, j):
-        np.copyto(window, windows[i])
-        np.matmul(window, band, out=inner[j])
-        if left:
-            np.matmul(tails[i], tail, out=ends[j])
-        np.matmul(E, spans[i], out=walls[j])
+        for call in calls(i, j):
+            call()
 
     return apply
 
@@ -764,6 +785,31 @@ _BLOWUP_FACTOR = 1e6
 _BATCH = 8
 
 
+def _route(step, rows, counts, scratch: int):
+    """The march from rows[0] through len(counts) recorded states, as
+    (calls, repeats) segments: make the calls repeats times, in order.
+
+    Recorded state t takes counts[t] steps from rows[t] and lands in
+    rows[t + 1]; its steps alternate between the scratch row and that row
+    so that the last lands there.  step(i, j) is the calls of one step
+    from row i to row j.  An odd count starts with one step into the
+    landing row, an even one with two through the scratch row; the rest is
+    the two-step cycle there and back, repeated.  Consecutive segments
+    made once are joined, so recording every step or every second step
+    gives one segment per route.
+    """
+    route = []
+    for src, dst, count in zip(rows, rows[1:], counts):
+        first = step(src, dst) if count % 2 else step(src, scratch) + step(scratch, dst)
+        if route and route[-1][1] == 1:
+            route[-1] = (route[-1][0] + first, 1)
+        else:
+            route.append((first, 1))
+        if count > 2:
+            route.append((step(dst, scratch) + step(scratch, dst), (count - 1) // 2))
+    return route
+
+
 def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
                       cfl: float = 0.4, init="zero", seed: int = 0,
                       sys: MomentSystem = None, record_every: int = 1) -> MarchResult:
@@ -775,19 +821,25 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     classes (BasisSet.parity_classes), so each class is marched on its own, in
     the variables w = L_c^T u with S_c = L_c L_c^T (_class_operator); the
     cross-class entries of M are round-off and are dropped, and the
-    largest of them, over max|M|, is the result's decoupling_defect.
+    largest of them, over max|M|, is the result's decoupling_defect.  Once
+    the class operators are built, M's full-m grid form and b are dropped.
     Every step applies each class's folded SSP-RK3 step operator,
-    w -> R w + r (_step_operator), through _block_toeplitz_apply; r is
-    skipped when the data b are zero.  The energy E(t) = dy * sum_nodes
+    w -> R w + r (_step_operator), as the numpy calls that
+    _block_toeplitz_calls binds, all classes' in a row, plus one add of r
+    when the data b are not zero.  The energy E(t) = dy * sum_nodes
     alpha^T S alpha = dy |w|^2 is recorded every record_every steps and at
     the last one, for up to _BATCH recorded states at a time: they are
     marched into the rows of one buffer, each row holding the classes side
-    by side, then weighed by one contraction.  The march stops as blown up
-    at the first recorded state whose energy is not finite or exceeds
-    _BLOWUP_FACTOR times its scale; the trace ends there and alpha is that
-    state, mapped back by u = L_c^-T w.  operator_s on the result is the
-    wall time to build R and r, march_s that of the step loop.  cfl and
-    t_final must be finite and positive, record_every a positive integer.
+    by side, then weighed by one contraction.  Batches land alternately in
+    rows 1.._BATCH from row 0 and in rows _BATCH-1..0 from row _BATCH, so
+    each starts where the last one ended; every route (_route) is bound
+    before the march, which then only makes calls and weighs batches.  The
+    march stops as blown up at the first recorded state whose energy is
+    not finite or exceeds _BLOWUP_FACTOR times its scale; the trace ends
+    there and alpha is that state, mapped back by u = L_c^-T w.
+    operator_s on the result is the wall time to build R and r and bind
+    the routes, march_s that of the step loop.  cfl and t_final must be
+    finite and positive, record_every a positive integer.
     """
     if not (0 < cfl < math.inf and 0 < t_final < math.inf):
         raise ValueError(f"cfl and t_final must be finite and positive "
@@ -820,64 +872,77 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     Z, b = _march_operator(cfg, sys, bc_upper, bc_lower)
     classes = sys.basis.parity_classes
     defect = _decoupling_defect(Z, classes)
+    b_max = float(np.abs(b).max())
     # each row holds the classes side by side, class c as its (N, m_c)
     # state in S-orthonormal variables; row _BATCH + 1 is scratch
     U = np.empty((_BATCH + 2, N * m))
     r = np.empty(N * m)
     stops = N * np.cumsum([idx.size for idx in classes])
     segments = [slice(hi - N * idx.size, hi) for idx, hi in zip(classes, stops)]
-    factors, appliers = [], []
+    factors, bound = [], []
     for idx, seg in zip(classes, segments):
         L = np.linalg.cholesky(sys.S[np.ix_(idx, idx)])
         R, r[seg] = _step_operator(*_class_operator(Z, b, idx, L), dt, N)
-        appliers.append(_block_toeplitz_apply(R, N, U[:, seg]))
+        bound.append(_block_toeplitz_calls(R, N, U[:, seg]))
         U[0, seg] = (alpha[:, idx] @ L).ravel()
         factors.append(L)
-    driven = bool(np.any(r))
-    operator_s = time.perf_counter() - start
+    del Z, b
+    source = bool(np.any(r))
 
-    # recorded step numbers
+    def step(i, j):
+        """The calls of one march step from row i to row j."""
+        calls = sum((bind(i, j) for bind in bound), ())
+        return calls + (partial(np.add, U[j], r, U[j]),) if source else calls
+
+    # recorded step numbers, and the steps to each recorded state
     marks = np.arange(record_every, steps + record_every, record_every)
     marks[-1] = steps
+    counts = np.diff(marks, prepend=0)
+
+    def batch(forward, counts):
+        """The route of one batch and its landing rows in record order."""
+        size = len(counts)
+        if forward:
+            return _route(step, range(size + 1), counts, _BATCH + 1), U[1:size + 1]
+        rows = range(_BATCH, _BATCH - size - 1, -1)
+        return _route(step, rows, counts, _BATCH + 1), U[_BATCH - size:_BATCH][::-1]
+
+    batches = -(-marks.size // _BATCH)
+    full = [batch(True, counts[:_BATCH]), batch(False, counts[:_BATCH])]
+    plan = [full[t % 2] for t in range(batches - 1)]
+    plan.append(batch(batches % 2 == 1, counts[(batches - 1) * _BATCH:]))
+    operator_s = time.perf_counter() - start
+
     times = np.r_[0.0, marks * dt]
     energy = np.empty_like(times)
     energy[0] = h * float(np.dot(U[0], U[0]))
-    limit = _BLOWUP_FACTOR * max(energy[0], float(np.abs(b).max()) ** 2, 1.0)
+    limit = _BLOWUP_FACTOR * max(energy[0], b_max ** 2, 1.0)
     blowup = False
-    recorded, done = 0, 0
+    recorded = 0
     start = time.perf_counter()
     # the states a batch marches past a blow-up may overflow; none is kept
     with np.errstate(over="ignore", invalid="ignore"):
-        while recorded < marks.size:
-            batch = min(_BATCH, marks.size - recorded)
-            for j in range(batch):
-                src = j
-                count = min(record_every, steps - done)
-                # the last of the count steps lands in U[j + 1]
-                for left in range(count, 0, -1):
-                    dst = j + 1 if left % 2 else _BATCH + 1
-                    for apply in appliers:
-                        apply(src, dst)
-                    if driven:
-                        U[dst] += r
-                    src = dst
-                done += count
-            states = U[1:batch + 1]
-            e = h * np.einsum("bi,bi->b", states, states)
-            energy[recorded + 1:recorded + batch + 1] = e
-            tripped = np.flatnonzero(~(e <= limit))
-            if tripped.size:
-                recorded += tripped[0] + 1
-                U[0] = U[tripped[0] + 1]
+        for route, landed in plan:
+            for calls, repeats in route:
+                for _ in range(repeats):
+                    for call in calls:
+                        call()
+            e = h * np.einsum("bi,bi->b", landed, landed)
+            energy[recorded + 1:recorded + 1 + e.size] = e
+            # a nan maximum fails the test too
+            if not e.max() <= limit:
+                tripped = int(np.flatnonzero(~(e <= limit))[0])
+                recorded += tripped + 1
+                final = landed[tripped]
                 blowup = True
                 break
-            recorded += batch
-            U[0] = U[batch]
+            recorded += e.size
+            final = landed[-1]
     march_s = time.perf_counter() - start
 
     alpha = np.empty((N, m))
     for idx, seg, L in zip(classes, segments, factors):
-        alpha[:, idx] = U[0, seg].reshape(N, idx.size) @ np.linalg.inv(L)
+        alpha[:, idx] = final[seg].reshape(N, idx.size) @ np.linalg.inv(L)
     return MarchResult(config=cfg, y=y, times=times[:recorded + 1],
                        energy=energy[:recorded + 1], alpha=alpha,
                        fields=extract_fields(sys.basis, alpha), dt=dt,

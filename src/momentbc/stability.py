@@ -46,12 +46,17 @@ _MARGIN = 1e-10
 def check_stability(dec: CharacteristicDecomposition, B: np.ndarray) -> StabilityReport:
     """Evaluate the two admissibility conditions for boundary rows B.
 
-    B must have one row per incoming characteristic.  The first condition
-    is that the zero-speed block B S^-1/2 X0 vanishes relative to the
-    scaled operator B S^-1/2; the kernel residual is the ratio of their
-    spectral norms, so it depends neither on the basis X0 that the
-    eigensolver picks for the degenerate zero eigenspace nor on a scaling
-    of B.  The second is positive semi-definiteness of the reflection form
+    B must have one row per incoming characteristic, as many as the odd
+    moments, with its columns in the odd-first ordering.  The first
+    condition is that the zero-speed block B S^-1/2 X0 vanishes.  The
+    standing modes have no odd part, so that block is B_e S_e^-1/2 X0_e,
+    from the rows' even block, and the kernel residual is its spectral
+    norm relative to that of B_e S_e^-1/2: it depends neither on the basis
+    X0 that the eigensolver picks for the degenerate zero eigenspace nor
+    on a scaling of B, and for a wall [I | -sign 2 beta Theta] not on
+    beta, where the identity block would dominate a norm of all of
+    B S^-1/2 as beta -> 0 (0 when the even block vanishes).  The second
+    condition is positive semi-definiteness of the reflection form
     R+^T Lam- R+ + Lam+ with R+ = -inv(B-) B+.
 
     A zero eigenvalue of the reflection form is a neutral, perfectly
@@ -67,12 +72,15 @@ def check_stability(dec: CharacteristicDecomposition, B: np.ndarray) -> Stabilit
         raise ValueError(f"expected {dec.n_neg} boundary rows, got {B.shape[0]}")
     Bt = B @ dec.S_half_inv
     B_minus = Bt @ dec.X_minus
-    B_zero = Bt @ dec.X_zero
     B_plus = Bt @ dec.X_plus
 
-    # Relative residual keeps the verdict invariant under B -> c*B.
-    scale_B = float(np.linalg.norm(Bt, 2)) if Bt.size else 1.0
-    raw_residual = float(np.linalg.norm(B_zero, 2)) if B_zero.size else 0.0
+    # relative to the even block, the residual is invariant under B -> c*B
+    # and free of the wall's gain
+    n_o = B.shape[0]
+    B_e = B[:, n_o:]
+    scale_B = float(np.linalg.norm(B_e @ dec.S_half_inv[n_o:, n_o:], 2)) if B_e.size else 0.0
+    B_zero_e = B_e @ (dec.S_half_inv @ dec.X_zero)[n_o:]
+    raw_residual = float(np.linalg.norm(B_zero_e, 2)) if B_zero_e.size else 0.0
     kernel_residual = raw_residual / scale_B if scale_B > 0 else raw_residual
     kernel_ok = kernel_residual < _KERNEL_TOL
 
@@ -150,7 +158,7 @@ def wall_certificate(sys: MomentSystem, kind: str) -> WallCertificate:
     theta = _held_gain(sys, kind)[0]
     dec = sys.characteristic
     n_o = sys.n_o
-    Aoe = sys.flux_odd_even()
+    Aoe = sys.flux_odd_even
     # S^-1/2 keeps the parities apart too: in S-orthonormal variables the
     # flux block's singular values are the characteristic speeds
     half_e = dec.S_half_inv[n_o:, n_o:]

@@ -150,11 +150,15 @@ class MomentSystem:
     def A_normal(self) -> np.ndarray:
         return self.A[self.basis.normal_axis]
 
+    @cached_property
     def flux_odd_even(self) -> np.ndarray:
-        """Odd-even block of S A^(normal); the full matrix is
-        [[0, Aoe], [Aoe^T, 0]] in the odd-first ordering."""
-        SA = self.S @ self.A_normal
-        return SA[: self.n_o, self.n_o:]
+        """Odd-even block Aoe of S A^(normal); the full matrix is
+        [[0, Aoe], [Aoe^T, 0]] in the odd-first ordering.  Read by the
+        Onsager gain, the wall form and the wall certificate.  Computed
+        once, read-only."""
+        Aoe = (self.S @ self.A_normal)[: self.n_o, self.n_o:].copy()
+        Aoe.flags.writeable = False
+        return Aoe
 
     @cached_property
     def mbc(self):

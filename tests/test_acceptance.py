@@ -124,7 +124,7 @@ def test_criterion_05_symmetric_response_matrix():
     for degree in DEGREES:
         sys_ = planar_system(degree)
         # the response at full accommodation, L = 2 sym(K), and its report
-        Aoe = sys_.flux_odd_even()
+        Aoe = sys_.flux_odd_even
         L = 2.0 * (sys_.mbc[0][:, :sys_.n_o] @ np.linalg.inv(Aoe[:, :sys_.n_o]))
         L = 0.5 * (L + L.T)
         diag = make_boundary_operator(sys_, "obc", chi=1.0).diagnostics

@@ -92,7 +92,7 @@ def test_onsager_terms_held_once_per_system(monkeypatch):
     assert sys_.obc[0] is theta_obc and not theta_obc.flags.writeable
     # the parent formula: sym(2 beta K) Aoe
     ref_M, _ = assemble_mbc(sys_)
-    Aoe = sys_.flux_odd_even()
+    Aoe = sys_.flux_odd_even
     K = ref_M[:, :n_o] @ inv(Aoe[:, :n_o])
     assert diag["cond_Aoe_hat"] == np.linalg.cond(Aoe[:, :n_o])
     for i, chi in enumerate(chis):
@@ -150,7 +150,7 @@ def test_obc_response_matrix(g20x):
     theta, diag = assemble_obc(g20x)
     # Theta_obc = sym(K) Aoe, so its wall form Aoe^T sym(K) Aoe is symmetric
     # positive semi-definite
-    F = theta.T @ g20x.flux_odd_even()
+    F = theta.T @ g20x.flux_odd_even
     assert np.abs(F - F.T).max() < 1e-12 * np.abs(F).max()
     eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
     assert eigs.min() >= -1e-9 * eigs.max()

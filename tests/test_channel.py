@@ -717,6 +717,24 @@ def test_march_batches_match_per_step_oracle(record_every, cfl):
         assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
 
 
+def test_march_routes_match_per_step_oracle():
+    # what the step binds only where it applies, all at once: the data's
+    # add (driven), the leftover product (R's 23 interior nodes at N = 35
+    # leave 3 over from 4-node super-nodes) and four parity classes (full3d
+    # G20); 127 steps recorded every 7 fill a batch landing forward, one
+    # landing backward and a last one, whose final state takes one step
+    sys_ = cached_system(3, "full3d", normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(3, "full3d"), n_grid=35, bc_kind="mbc")
+    steps, record_every = 127, 7
+    res, b, (marks, energies, alpha) = _march_and_oracle(
+        cfg, sys_, "random", steps, 0.4, record_every)
+    assert np.abs(b).max() > 0 and len(res.classes) == 4 and not res.blowup
+    assert marks.size - 1 == 2 * _BATCH + 3 and marks[-1] - marks[-2] == 1
+    assert np.array_equal(res.times, marks * res.dt)
+    assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
+    assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+
 def test_march_accepts_array_init():
     cfg = make_config(n_grid=32, wall_temp=0.0, source_amplitude=0.0)
     sys_ = cached_system(3, normal="y", axes=("y",))

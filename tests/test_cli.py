@@ -246,6 +246,21 @@ def test_check_stability_scan(capsys):
         assert rep["checked"][key] == combined[key], key
 
 
+@pytest.mark.parametrize("theory", ["G20", "G35", "G165"])
+def test_check_stability_verdicts_match_certificate_at_any_chi(capsys, theory):
+    # the kernel residual is relative to the rows' even block, so the single
+    # and combined checks read the chi-free certificate's verdict even where
+    # the wall's gain 2 beta is tiny
+    for chi in ("1e-9", "1e-4", "1"):
+        combined = run_json(capsys, "check-stability", "--theory", theory, "--chi", chi)
+        for kind in ("mbc", "obc"):
+            cert = combined["wall_certificate"][kind]["verdict"]
+            assert combined[f"{kind}_stable"] == (cert == "stable"), (chi, kind)
+            single = run_json(capsys, "check-stability", "--theory", theory,
+                              "--bc", kind, "--chi", chi)
+            assert single["verdict"] == cert, (chi, kind)
+
+
 def test_check_stability_scan_disagreement_exits_two(capsys, monkeypatch):
     # a certificate that contradicts the check at chi = 1 is a numerical failure
     monkeypatch.setattr("momentbc.cli.wall_certificate", lambda sys_, kind:

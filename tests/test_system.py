@@ -141,10 +141,20 @@ def test_normal_flux_parity_blocks(g20x):
 def test_flux_odd_even_block(g20x):
     SA = g20x.S @ g20x.A_normal
     n_o = g20x.n_o
-    Aoe = g20x.flux_odd_even()
+    Aoe = g20x.flux_odd_even
     assert Aoe.shape == (n_o, g20x.n_e)
     assert np.abs(SA[:n_o, n_o:] - Aoe).max() == 0.0
     assert np.abs(SA[n_o:, :n_o] - Aoe.T).max() < 1e-12
+
+
+def test_flux_odd_even_held_once():
+    # a fresh system builds the block on its first read and holds it
+    sys_ = assemble_system(grad_theory(3), normal_axis="x", axes=("x",))
+    Aoe = sys_.flux_odd_even
+    assert sys_.flux_odd_even is Aoe
+    assert not Aoe.flags.writeable
+    with pytest.raises(ValueError):
+        Aoe[0, 0] = 1.0
 
 
 def test_tangential_flux_mixes_parities(g20x):
