@@ -215,7 +215,9 @@ class BasisSet:
     entries holds the independent basis functions and polys their
     coefficient arrays, one (size, D+1, D+1, D+1) stack.  The polynomial
     a distribution is reconstructed with is not stored: it is 2S times
-    this stack (see expansion_weights).
+    this stack (see expansion_weights).  slots holds each entry's position
+    in the theory's whole basis: 0..size-1 unless the set keeps only some
+    tangential-parity classes (build_basis_set, restrict).
     """
 
     theory: object
@@ -224,6 +226,7 @@ class BasisSet:
     polys: np.ndarray
     n_o: int
     n_e: int
+    slots: np.ndarray
 
     @property
     def size(self) -> int:
@@ -262,6 +265,15 @@ class BasisSet:
         for idx in classes:
             idx.flags.writeable = False
         return classes
+
+    def restrict(self, idx) -> BasisSet:
+        """The entries idx (ascending, so odd-first still) of this set."""
+        idx = np.asarray(idx)
+        n_o = int(np.count_nonzero(idx < self.n_o))
+        return BasisSet(theory=self.theory, normal_axis=self.normal_axis,
+                        entries=tuple(self.entries[i] for i in idx),
+                        polys=self.polys[idx], n_o=n_o, n_e=idx.size - n_o,
+                        slots=self.slots[idx])
 
     def blocks(self):
         """Distinct (rank, radial) pairs with their global column indices."""
@@ -307,12 +319,16 @@ class BasisSet:
         return tuple(multisets), P
 
 
-def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
+def build_basis_set(theory, normal_axis: str = "x",
+                    tangentially_even: bool = False) -> BasisSet:
     """Enumerate and order the moments of a theory.
 
     Moments odd under reflection of the wall normal axis come first; inside
     each parity block the order is by polynomial degree n+2s, then tensor
-    rank, then component (z count, then lexicographic).
+    rank, then component (z count, then lexicographic).  With
+    tangentially_even only the moments even along every tangential axis
+    are kept, in the same order: the whole basis's parity_classes[0],
+    with its positions there as slots.
     """
     if normal_axis not in ("x", "y"):
         raise ValueError("wall normals are restricted to the x and y axes")
@@ -323,12 +339,15 @@ def build_basis_set(theory, normal_axis: str = "x") -> BasisSet:
                 odd = 0 if parity(comp, normal_axis) == "odd" else 1
                 items.append(((odd, n + 2 * s, n, ci), BasisFunction(n, s, comp)))
     items.sort(key=lambda kv: kv[0])
-    entries = tuple(bf for _, bf in items)
-    n_o = sum(1 for key, _ in items if key[0] == 0)
+    tangential = [a for a in AXES if a != normal_axis]
+    slots = [i for i, (_, bf) in enumerate(items) if not tangentially_even
+             or all(parity(bf.component, a) == "even" for a in tangential)]
+    entries = tuple(items[i][1] for i in slots)
+    n_o = sum(1 for i in slots if items[i][0][0] == 0)
     degree = max(bf.degree for bf in entries)
     bs = BasisSet(theory=theory, normal_axis=normal_axis, entries=entries,
                   polys=np.zeros((len(entries),) + (degree + 1,) * 3),
-                  n_o=n_o, n_e=len(entries) - n_o)
+                  n_o=n_o, n_e=len(entries) - n_o, slots=np.array(slots))
     for (n, s), cols in bs.blocks().items():
         bs.polys[cols] = _radial_block(n, s, [entries[i].component for i in cols], degree)
     return bs

@@ -73,7 +73,8 @@ def assemble_obc(sys: MomentSystem):
     n_o = sys.n_o
     Aoe = sys.flux_odd_even
     Ahat = Aoe[:, :n_o]
-    cond = float(np.linalg.cond(Ahat))
+    # fewer even moments than odd ones leave Aoe_hat without a full column set
+    cond = float(np.linalg.cond(Ahat)) if sys.n_e >= n_o else np.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(f"odd-even flux head block near singular (cond {cond:.3e})")
     L_raw = 2.0 * (sys.mbc[0][:, :n_o] @ np.linalg.inv(Ahat))
@@ -102,11 +103,10 @@ def wall_form_min(sys: MomentSystem, kind: str) -> float:
     the wall's rows the energy flux is 2 beta u_e^T Theta_kind^T Aoe u_e, so
     the sign is the same at every chi; below zero some even state draws
     energy, which check_stability's Schur form does not see when the wall
-    also fails the kernel condition."""
-    F = _held_gain(sys, kind)[0].T @ sys.flux_odd_even
-    eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
-    scale = float(np.abs(eigs).max())
-    return float(eigs.min()) / scale if scale > 0 else 0.0
+    also fails the kernel condition.  Read from the eigenvalues of the
+    form's parity-class blocks that stability.wall_certificate keeps."""
+    from .stability import wall_certificate  # stability imports this module
+    return wall_certificate(sys, kind).wall_form_min
 
 
 @dataclass(frozen=True)

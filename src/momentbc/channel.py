@@ -33,6 +33,16 @@ windows of its state with a block-banded matrix that holds the row b
 times, so each GEMM row writes b nodes, plus one batched product for both
 walls.  Those numpy calls, for every class, are bound once before the
 march, so the step loop pays for the calls and their arithmetic only.
+
+The steady solvers need only one of those classes.  The flux along y,
+the symmetrizer, the relaxation and both wall gains keep the parities,
+and the heating, the wall temperature and the density gauge lie in the
+class even along every tangential axis, so the steady solution is zero
+outside it.  Both steady solvers assemble and solve that class alone
+(_heated_class) and return the whole state, exact zeros outside it; m in
+them is the class's size, 40 of the 70 moments of planar G120 and of the
+120 of full3d G120.  The march starts from states that fill every class
+and marches them all.
 """
 
 from __future__ import annotations
@@ -282,6 +292,27 @@ def _channel_system(cfg: ChannelConfig, sys: MomentSystem = None):
             make_boundary_operator(sys, cfg.bc_kind, cfg.chi, sign=-1))
 
 
+def _heated_class(cfg: ChannelConfig, sys: MomentSystem = None):
+    """_channel_system on the tangentially even class, where the steady
+    data live: assembled alone when no system is given, else the given
+    system restricted to its parity_classes[0].  The walls' gains are the
+    class's own."""
+    if sys is None:
+        sys = assemble_system(cfg.theory, normal_axis="y", axes=("y",),
+                              tangentially_even=True)
+    else:
+        sys = sys.restrict(sys.basis.parity_classes[0])
+    return _channel_system(cfg, sys)
+
+
+def _whole_state(bs: BasisSet, alpha: np.ndarray) -> np.ndarray:
+    """The (N, m) state of the theory's whole basis from a class state on
+    bs, exactly zero outside the class."""
+    out = np.zeros((len(alpha), bs.theory.moment_count))
+    out[:, bs.slots] = alpha
+    return out
+
+
 def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution:
     """Steady channel solve on cfg.n_grid collocation nodes.
 
@@ -291,10 +322,14 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
     The density column only enters through its derivative, so the
     plain system is singular up to a uniform density shift; a
     zero-total-density gauge closes it through a bordered augmentation.
+    The operator is laid out and solved on the tangentially even class
+    alone (_heated_class): K keeps the tangential parities and the data
+    lie in that class, so the other classes' moments are zero, and alpha
+    holds them as exact zeros.  The residual is that of the class rows.
     diagnostics["timings"] holds operator_s (operator and border) and
     solve_s (the sparse solve).
     """
-    sys, bc_upper, bc_lower = _channel_system(cfg, sys)
+    sys, bc_upper, bc_lower = _heated_class(cfg, sys)
 
     m = sys.size
     n_o = sys.n_o
@@ -334,8 +369,8 @@ def solve_steady(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolutio
     fields = extract_fields(bs, alpha)
     diagnostics = _steady_diagnostics(cfg, fields, residual, operator_s, solve_s)
     diagnostics["gauge_multiplier"] = float(x[size])
-    return ChannelSolution(config=cfg, y=y, alpha=alpha, fields=fields,
-                           diagnostics=diagnostics)
+    return ChannelSolution(config=cfg, y=y, alpha=_whole_state(bs, alpha),
+                           fields=fields, diagnostics=diagnostics)
 
 
 # eigenvalues and singular values below this fraction of max|A^| count as
@@ -396,24 +431,26 @@ def _pencil_modes(sys: MomentSystem):
     return int(c.sum()) + rank, -1.0 / mu, sys.S @ V, V
 
 
-def _phi(z: np.ndarray, k: int) -> np.ndarray:
-    """phi_k(z) = sum_i z^i / (i + k)!, for z <= 0.
+def _phi(z: np.ndarray, *orders):
+    """phi_k(z) = sum_i z^i / (i + k)!, for z <= 0, for each order k given:
+    the array of the one order, or a tuple of them.
 
     Summed as a series below |z| = 1, and above it by the recurrence
-    phi_{j+1}(z) = (phi_j(z) - 1/j!) / z from phi_0(z) = e^z.
+    phi_{j+1}(z) = (phi_j(z) - 1/j!) / z from phi_0(z) = e^z, which passes
+    through every lower order on its way to the highest.
     """
     small = np.abs(z) < 1.0
-    zs = z[small]
-    series = np.zeros(zs.size)
-    for i in range(19, -1, -1):
-        series = series * zs + 1.0 / math.factorial(i + k)
-    large = z[~small]
-    rec = np.exp(large)
-    for j in range(k):
+    zs, large = z[small], z[~small]
+    rec, out = np.exp(large), {}
+    for j in range(max(orders)):
         rec = (rec - 1.0 / math.factorial(j)) / large
-    out = np.empty_like(z)
-    out[small], out[~small] = series, rec
-    return out
+        if j + 1 in orders:
+            series = np.zeros(zs.size)
+            for i in range(19, -1, -1):
+                series = series * zs + 1.0 / math.factorial(i + j + 1)
+            out[j + 1] = np.empty_like(z)
+            out[j + 1][small], out[j + 1][~small] = series, rec
+    return out[orders[0]] if len(orders) == 1 else tuple(out[k] for k in orders)
 
 
 def _deflation(A, W, V):
@@ -507,7 +544,10 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     (_polynomial_part).  Both are sampled in 2 y.  The
     2 n_o mode amplitudes solve the boundary rows at both walls plus the
     nodal gauge sum_i rho(y_i) = 0 of solve_steady in the least squares
-    sense.
+    sense.  All of it runs on the tangentially even class alone
+    (_heated_class), the moments outside it being exactly zero, so n_o and
+    m are the class's: planar and full3d G120 both have 2 n_o = 40 modes,
+    4 of them polynomial.
 
     Raises RuntimeError when the pencil is singular (a theory of fewer
     than 20 moments lacks the moment to balance the heating, see
@@ -517,9 +557,9 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     of the data.  diagnostics["timings"] holds operator_s (modes and
     particular part) and solve_s (amplitudes and sampling);
     amplitude_cond is the condition number of the amplitude rows and
-    modes counts both kinds.
+    modes counts both kinds, in the class.
     """
-    sys, bc_upper, bc_lower = _channel_system(cfg, sys)
+    sys, bc_upper, bc_lower = _heated_class(cfg, sys)
     n_o, kn = sys.n_o, cfg.kn
     A, P, bs = sys.A["y"], sys.P_bgk, sys.basis
 
@@ -539,8 +579,8 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     y_wall = np.where(kappa > 0, y[-1], y[0])
     h = y[:, None] - y_wall
     z = kappa / kn * h
-    x_part = g * h * (y_wall ** 2 * _phi(z, 1) + 2 * y_wall * h * _phi(z, 2)
-                      + 2 * h ** 2 * _phi(z, 3))
+    phi1, phi2, phi3 = _phi(z, 1, 2, 3)
+    x_part = g * h * (y_wall ** 2 * phi1 + 2 * y_wall * h * phi2 + 2 * h ** 2 * phi3)
     decay = np.exp(z)
 
     def values(p, e):
@@ -579,8 +619,8 @@ def solve_modal(cfg: ChannelConfig, sys: MomentSystem = None) -> ChannelSolution
     diagnostics = _steady_diagnostics(cfg, fields, residual, operator_s, solve_s)
     diagnostics["amplitude_cond"] = amplitude_cond
     diagnostics["modes"] = {"polynomial": n_poly, "exponential": int(kappa.size)}
-    return ChannelSolution(config=cfg, y=y, alpha=alpha, fields=fields,
-                           diagnostics=diagnostics)
+    return ChannelSolution(config=cfg, y=y, alpha=_whole_state(bs, alpha),
+                           fields=fields, diagnostics=diagnostics)
 
 
 REFERENCE_DEGREES = (5, 6, 7)

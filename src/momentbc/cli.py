@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .basis import verify_orthogonality
-from .boundary import accommodation_gain, make_boundary_operator, wall_form_min
+from .boundary import accommodation_gain, make_boundary_operator
 from .channel import (ChannelConfig, reference_solution, solve_steady,
                       time_march_energy)
 from .stability import check_stability, wall_certificate
@@ -391,7 +391,8 @@ def cmd_check_stability(args: argparse.Namespace) -> dict:
                             "min_eig_L": 2.0 * accommodation_gain(c) * held["min_eig_L"],
                             "cond_Aoe_hat": held["cond_Aoe_hat"]} for c in chis]
     payload["theory"] = theory.name
-    payload["wall_form_min"] = {kind: wall_form_min(sys_, kind) for kind in kinds}
+    payload["wall_form_min"] = {kind: cert.wall_form_min
+                                for kind, cert in certificates.items()}
     payload["wall_certificate"] = {
         kind: {"verdict": cert.verdict, "kernel_defect": list(cert.kernel_defect),
                "form_min": list(cert.form_min)}

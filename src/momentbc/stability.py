@@ -119,6 +119,16 @@ class WallCertificate:
     kind: str
     kernel_defect: tuple   # |Theta_c Z_c| / |Theta_c S_c^-1/2| per class
     form_min: tuple        # lambda_min / max|lambda| of sym(Theta_c^T Aoe_c)
+    form_range: tuple = ()  # (lambda_min, max|lambda|) of that form per class
+
+    @property
+    def wall_form_min(self) -> float:
+        """lambda_min / max|lambda| of the whole wall form
+        sym(Theta_kind^T Aoe): its blocks between classes are zero, so its
+        eigenvalues are the classes' (0 where the form vanishes)."""
+        low = min((lo for lo, _ in self.form_range), default=0.0)
+        scale = max((top for _, top in self.form_range), default=0.0)
+        return low / scale if scale > 0 else 0.0
 
     @property
     def class_stable(self) -> tuple:
@@ -151,9 +161,11 @@ def wall_certificate(sys: MomentSystem, kind: str) -> WallCertificate:
     variables, that acts on standing modes, whatever basis Z_c the SVD
     picks (0 where Theta_c vanishes).  The wall form's reading is
     lambda_min / max|lambda| of sym(Theta_c^T Aoe_c) (0 where the form
-    vanishes).  A class passes when its defect is below _KERNEL_TOL and
-    its form above -_PSD_TOL.  Raises if a standing mode has an odd part,
-    since rows [I | -theta] cannot annihilate it.
+    vanishes); both eigenvalues are kept, and the whole form's reading
+    follows from them (WallCertificate.wall_form_min).  A class passes
+    when its defect is below _KERNEL_TOL and its form above -_PSD_TOL.
+    Raises if a standing mode has an odd part, since rows [I | -theta]
+    cannot annihilate it.
     """
     theta = _held_gain(sys, kind)[0]
     dec = sys.characteristic
@@ -165,7 +177,7 @@ def wall_certificate(sys: MomentSystem, kind: str) -> WallCertificate:
     C = dec.S_half_inv[:n_o, :n_o] @ Aoe @ half_e
     T = theta @ half_e
     cut = _ZERO_TOL * max(dec.max_speed, 1.0)
-    defects, forms = [], []
+    defects, forms, ranges = [], [], []
     for idx in sys.basis.parity_classes:
         block = np.ix_(idx[idx < n_o], idx[idx >= n_o] - n_o)
         _, speeds, Vt = np.linalg.svd(C[block])
@@ -181,4 +193,7 @@ def wall_certificate(sys: MomentSystem, kind: str) -> WallCertificate:
         eigs = np.linalg.eigvalsh(0.5 * (F + F.T))
         scale = float(np.abs(eigs).max(initial=0.0))
         forms.append(float(eigs[0]) / scale if scale > 0 else 0.0)
-    return WallCertificate(kind=kind, kernel_defect=tuple(defects), form_min=tuple(forms))
+        if eigs.size:
+            ranges.append((float(eigs[0]), scale))
+    return WallCertificate(kind=kind, kernel_defect=tuple(defects),
+                           form_min=tuple(forms), form_range=tuple(ranges))

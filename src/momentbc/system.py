@@ -188,16 +188,35 @@ class MomentSystem:
     def characteristic(self) -> CharacteristicDecomposition:
         """characteristic_decomposition of this system, read by the
         stability check and every channel solver.  Computed once, read-only."""
-        dec = characteristic_decomposition(self)
-        for f in fields(dec):
-            getattr(dec, f.name).flags.writeable = False
-        return dec
+        return _read_only(characteristic_decomposition(self))
+
+    def restrict(self, idx) -> MomentSystem:
+        """This system on the moments idx, a tangential-parity class
+        (BasisSet.parity_classes), by slicing: flux, symmetrizer and
+        relaxation have exactly zero blocks between classes.  The
+        restriction builds its own gains on first use, from these slices.
+        S^1/2 keeps the classes apart too, so its decomposition takes this
+        system's S^1/2 and S^-1/2, sliced, and solves only its own block of
+        the scaled flux: one system's solvers share one eigensolve of S.
+        """
+        ix = np.ix_(idx, idx)
+        sub = MomentSystem(basis=self.basis.restrict(idx),
+                           A={axis: A[ix] for axis, A in self.A.items()},
+                           S=self.S[ix], P_bgk=self.P_bgk[ix])
+        dec = self.characteristic
+        # fills the characteristic property's cache, as its first read would
+        vars(sub)["characteristic"] = _read_only(
+            _decompose(sub.A_normal, dec.S_half[ix], dec.S_half_inv[ix]))
+        return sub
 
 
 def assemble_system(theory: MomentTheory, normal_axis: str = "x",
-                    axes=("x", "y", "z")) -> MomentSystem:
-    """Build basis, flux matrices, symmetrizer and relaxation projector."""
-    bs = build_basis_set(theory, normal_axis)
+                    axes=("x", "y", "z"),
+                    tangentially_even: bool = False) -> MomentSystem:
+    """Build basis, flux matrices, symmetrizer and relaxation projector;
+    with tangentially_even, on the tangentially even class alone
+    (build_basis_set)."""
+    bs = build_basis_set(theory, normal_axis, tangentially_even)
     if normal_axis not in axes:
         axes = tuple(axes) + (normal_axis,)
     A = {ax: assemble_flux(bs, ax) for ax in axes}
@@ -264,13 +283,15 @@ def characteristic_decomposition(sys: MomentSystem) -> CharacteristicDecompositi
     It describes the wall with outward normal +axis; the other wall's
     operator is the parity conjugate of its own (make_boundary_operator).
     """
-    S = sys.S
-    w, Q = np.linalg.eigh(S)
+    w, Q = np.linalg.eigh(sys.S)
     if w.min() <= 0:
         raise ValueError("symmetrizer is not positive definite")
-    S_half = (Q * np.sqrt(w)) @ Q.T
-    S_half_inv = (Q / np.sqrt(w)) @ Q.T
-    M = S_half @ sys.A_normal @ S_half_inv
+    return _decompose(sys.A_normal, (Q * np.sqrt(w)) @ Q.T, (Q / np.sqrt(w)) @ Q.T)
+
+
+def _decompose(A_normal, S_half, S_half_inv) -> CharacteristicDecomposition:
+    """The decomposition of A_normal from given S^1/2 and S^-1/2."""
+    M = S_half @ A_normal @ S_half_inv
     asym = np.abs(M - M.T).max()
     if asym > 1e-8:
         raise ValueError(f"scaled flux not symmetric (deviation {asym:.3e})")
@@ -283,3 +304,9 @@ def characteristic_decomposition(sys: MomentSystem) -> CharacteristicDecompositi
         S_half=S_half, S_half_inv=S_half_inv,
         X_minus=X[:, neg], X_zero=X[:, zero], X_plus=X[:, pos],
         lam_minus=lam[neg], lam_plus=lam[pos])
+
+
+def _read_only(dec: CharacteristicDecomposition) -> CharacteristicDecomposition:
+    for f in fields(dec):
+        getattr(dec, f.name).flags.writeable = False
+    return dec

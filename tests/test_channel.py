@@ -251,6 +251,102 @@ def test_reference_solution_average():
     assert np.abs(ref.fields["theta"] - single.fields["theta"]).max() < 0.05
 
 
+@pytest.mark.parametrize("reduction", ["planar", "full3d"])
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_parity_classes_have_no_cross_blocks(degree, reduction):
+    # the steady solvers work on the tangentially even class alone: the
+    # y-flux, symmetrizer, relaxation and both wall gains have exactly zero
+    # blocks between classes, and the heating, the wall temperature column
+    # and the density gauge lie in that class
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    classes, n_o = sys_.basis.parity_classes, sys_.n_o
+    label = np.empty(sys_.size, dtype=int)
+    for c, idx in enumerate(classes):
+        label[idx] = c
+    cross = label[:, None] != label
+    for M in (sys_.A["y"], sys_.S, sys_.P_bgk):
+        assert np.all(M[cross] == 0.0)
+    gain_cross = label[:n_o, None] != label[n_o:]
+    M_mbc, g = sys_.mbc
+    assert np.all(M_mbc[gain_cross] == 0.0)
+    assert np.all(sys_.obc[0][gain_cross] == 0.0)
+    assert np.all(g[label[:n_o] != 0] == 0.0) and np.any(g != 0.0)
+    heat = source_vector(sys_.basis, 1.0, 0.5)
+    assert np.all(heat[label != 0] == 0.0)
+    assert label[sys_.basis.index_of(0, 0, ())] == 0
+
+
+@pytest.mark.parametrize("degree, reduction", [(3, "planar"), (4, "planar"),
+                                               (7, "planar"), (4, "full3d")])
+def test_class_assembly_matches_restriction(degree, reduction):
+    # assembled alone, the class is the whole system's class, sliced
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    idx = sys_.basis.parity_classes[0]
+    alone = assemble_system(grad_theory(degree, reduction), normal_axis="y",
+                            axes=("y",), tangentially_even=True)
+    sliced = sys_.restrict(idx)
+    for sub in (alone, sliced):
+        assert sub.basis.entries == tuple(sys_.basis.entries[i] for i in idx)
+        assert np.array_equal(sub.basis.slots, idx)
+        assert sub.n_o == np.count_nonzero(idx < sys_.n_o)
+        assert len(sub.basis.parity_classes) == 1
+        ix = np.ix_(idx, idx)
+        assert np.array_equal(sub.S, sys_.S[ix])
+        assert np.array_equal(sub.P_bgk, sys_.P_bgk[ix])
+        scale = np.abs(sys_.A["y"]).max()
+        assert np.abs(sub.A["y"] - sys_.A["y"][ix]).max() <= 1e-14 * scale
+        odd, even = idx[idx < sys_.n_o], idx[idx >= sys_.n_o] - sys_.n_o
+        for held, sub_held in ((sys_.mbc[0], sub.mbc[0]), (sys_.obc[0], sub.obc[0])):
+            gain = held[np.ix_(odd, even)]
+            assert np.abs(sub_held - gain).max() <= 1e-13 * np.abs(gain).max()
+        up, dn = sys_.characteristic.split_fluxes
+        for part, sub_part in zip((up, dn), sub.characteristic.split_fluxes):
+            assert np.abs(sub_part - part[ix]).max() <= 1e-13 * scale
+    # the restriction reads its system's S^1/2
+    assert np.array_equal(sliced.characteristic.S_half,
+                          sys_.characteristic.S_half[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree, reduction", [(3, "planar"), (4, "planar"),
+                                               (3, "full3d"), (4, "full3d")])
+def test_steady_solutions_vanish_outside_the_class(degree, reduction, bc_kind):
+    # both solvers, given the system or not, return the whole state: exact
+    # zeros outside the class, and the whole system's wall rows hold
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(degree, reduction), bc_kind=bc_kind, n_grid=64)
+    outside = np.setdiff1d(np.arange(sys_.size), sys_.basis.parity_classes[0])
+    walls = [(make_boundary_operator(sys_, bc_kind, cfg.chi, sign), node)
+             for sign, node in ((+1, -1), (-1, 0))]
+    for solver in (solve_modal, solve_steady):
+        for given in (None, sys_):
+            sol = solver(cfg, sys=given)
+            assert sol.alpha.shape == (64, sys_.size)
+            assert np.all(sol.alpha[:, outside] == 0.0)
+            assert extract_fields(sys_.basis, sol.alpha).keys() == sol.fields.keys()
+            for bo, node in walls:
+                assert np.abs(bo.B @ sol.alpha[node] - bo.rhs(cfg.wall_temp)).max() < 1e-13
+
+
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree, reduction", [(3, "planar"), (4, "planar"),
+                                               (7, "planar"), (4, "full3d")])
+def test_collocation_solves_the_whole_operator(degree, reduction, bc_kind):
+    # the class solution, zero elsewhere, solves the whole system's
+    # bordered steady rows K alpha + lambda e_rho = F
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(degree, reduction), bc_kind=bc_kind, n_grid=64)
+    sol = solve_steady(cfg)
+    cfg, _, bc_upper, bc_lower = args = _operator_setup(cfg, sys_)
+    N, m, n_o = cfg.n_grid, sys_.size, sys_.n_o
+    F = source_vector(sys_.basis, cfg.source_amplitude, cfg.grid())
+    F[0, :n_o] = bc_lower.rhs(cfg.wall_temp)
+    F[-1, :n_o] = bc_upper.rhs(cfg.wall_temp)
+    r = (_steady_operator(*args) @ sol.alpha.ravel()).reshape(N, m) - F
+    r[:, sys_.basis.index_of(0, 0, ())] += sol.diagnostics["gauge_multiplier"]
+    assert np.abs(r).max() <= 1e-12 * np.abs(F).max()
+
+
 def test_modal_solution_quality_and_diagnostics():
     sys_ = cached_system(3, normal="y", axes=("y",))
     sol = solve_modal(make_config(n_grid=64), sys=sys_)
@@ -260,7 +356,8 @@ def test_modal_solution_quality_and_diagnostics():
                          "symmetry_error", "timings"]
     assert sorted(d["timings"]) == ["operator_s", "solve_s"]
     assert all(np.isfinite(t) and t > 0.0 for t in d["timings"].values())
-    assert d["modes"] == {"polynomial": 6, "exponential": 2 * sys_.n_o - 6}
+    # the tangentially even class: 8 moments, 4 of them odd
+    assert d["modes"] == {"polynomial": 4, "exponential": 4}
     # the exact solution meets criterion 07 at round-off
     assert d["residual"] < 1e-12
     assert d["max_v_y"] < 1e-13
@@ -365,7 +462,7 @@ def test_modal_full3d(degree, kn):
     d = solve_modal(cfg, sys=sys_).diagnostics
     assert d["residual"] < 1e-11
     assert d["amplitude_cond"] < 1e2
-    assert d["modes"]["polynomial"] == 8
+    assert d["modes"]["polynomial"] == 4
 
 
 @pytest.mark.parametrize("degree, kn", [(4, 3e4), (6, 1e5)])
