@@ -319,19 +319,13 @@ class BasisSet:
         return tuple(multisets), P
 
 
-def build_basis_set(theory, normal_axis: str = "x",
-                    tangentially_even: bool = False) -> BasisSet:
-    """Enumerate and order the moments of a theory.
+def _ordered_moments(theory, normal_axis: str) -> list:
+    """The basis functions of a theory, in the order of its basis.
 
     Moments odd under reflection of the wall normal axis come first; inside
     each parity block the order is by polynomial degree n+2s, then tensor
-    rank, then component (z count, then lexicographic).  With
-    tangentially_even only the moments even along every tangential axis
-    are kept, in the same order: the whole basis's parity_classes[0],
-    with its positions there as slots.
+    rank, then component (z count, then lexicographic).
     """
-    if normal_axis not in ("x", "y"):
-        raise ValueError("wall normals are restricted to the x and y axes")
     items = []
     for n in range(theory.max_rank + 1):
         for s in range(theory.radial_counts[n]):
@@ -339,11 +333,25 @@ def build_basis_set(theory, normal_axis: str = "x",
                 odd = 0 if parity(comp, normal_axis) == "odd" else 1
                 items.append(((odd, n + 2 * s, n, ci), BasisFunction(n, s, comp)))
     items.sort(key=lambda kv: kv[0])
+    return [bf for _, bf in items]
+
+
+def build_basis_set(theory, normal_axis: str = "x",
+                    tangentially_even: bool = False) -> BasisSet:
+    """Enumerate and order the moments of a theory (_ordered_moments).
+
+    With tangentially_even only the moments even along every tangential
+    axis are kept, in the same order: the whole basis's parity_classes[0],
+    with its positions there as slots.
+    """
+    if normal_axis not in ("x", "y"):
+        raise ValueError("wall normals are restricted to the x and y axes")
+    ordered = _ordered_moments(theory, normal_axis)
     tangential = [a for a in AXES if a != normal_axis]
-    slots = [i for i, (_, bf) in enumerate(items) if not tangentially_even
+    slots = [i for i, bf in enumerate(ordered) if not tangentially_even
              or all(parity(bf.component, a) == "even" for a in tangential)]
-    entries = tuple(items[i][1] for i in slots)
-    n_o = sum(1 for i in slots if items[i][0][0] == 0)
+    entries = tuple(ordered[i] for i in slots)
+    n_o = sum(1 for bf in entries if parity(bf.component, normal_axis) == "odd")
     degree = max(bf.degree for bf in entries)
     bs = BasisSet(theory=theory, normal_axis=normal_axis, entries=entries,
                   polys=np.zeros((len(entries),) + (degree + 1,) * 3),

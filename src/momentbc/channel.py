@@ -23,12 +23,12 @@ block row, and only the rows of nodes 0, 1, N-2 and N-1 differ.  So each
 is held as its dense matrix on a 5-node grid, summed from the tables; the
 steady solve lays its rows out as a sparse matrix.  The system is linear
 and time-invariant, so the marcher folds the three stages into one step
-operator, a cubic in the march operator, raised densely on 13 nodes.
-Every moment is even or odd along each tangential axis, and the march
-keeps those parities, so it runs as one such system per parity class (two
-planar, four in full3d), in variables in which the energy is a plain sum
-of squares.  Each step applies a class's shared row to super-nodes of b
-consecutive nodes: one BLAS GEMM of a contiguous copy of the overlapping
+operator, a cubic in the march operator.  Every moment is even or odd
+along each tangential axis, and the march keeps those parities, so it
+runs as one such system per parity class (two planar, four in full3d), in
+variables in which the energy is a plain sum of squares; each class's
+cubic is raised densely on 13 nodes from its own blocks.  Each step
+applies a class's shared row to super-nodes of b consecutive nodes: one BLAS GEMM of a contiguous copy of the overlapping
 windows of its state with a block-banded matrix that holds the row b
 times, so each GEMM row writes b nodes, plus one batched product for both
 walls.  Those numpy calls, for every class, are bound once before the
@@ -674,19 +674,14 @@ class MarchResult:
 
 
 def _march_operator(cfg, sys, bc_upper, bc_lower):
-    """March operator M, as its 13-node grid form Z, and source b: (Z, b).
-
-    13 nodes, not the 5 that fix M, so that the cubic in M that
-    _step_operator folds from Z is fixed by it too.
-    """
-    m, n_o, N = sys.size, sys.n_o, cfg.n_grid
-    Z = _grid_operator(_operator_terms(cfg, sys, bc_upper, bc_lower)[1], m, 13)
-
-    F = source_vector(sys.basis, cfg.source_amplitude, cfg.grid())
-    b = F.ravel().copy()
-    for node, bc in ((0, bc_lower), (N - 1, bc_upper)):
-        b[node * m:node * m + n_o] = bc.gain() @ F[node, n_o:]
-    return Z, b
+    """March operator M, as its (table, h, m x m block) terms, and the
+    source b, as an (N, m) array: (terms, b).  No grid form is built here;
+    each parity class sums its own from the terms (_class_operator)."""
+    n_o = sys.n_o
+    b = source_vector(sys.basis, cfg.source_amplitude, cfg.grid())
+    for node, bc in ((0, bc_lower), (-1, bc_upper)):
+        b[node, :n_o] = bc.gain() @ b[node, n_o:]
+    return _operator_terms(cfg, sys, bc_upper, bc_lower)[1], b
 
 
 def _block_toeplitz_calls(Z, N: int, states: np.ndarray):
@@ -748,30 +743,15 @@ def _block_toeplitz_calls(Z, N: int, states: np.ndarray):
     return calls
 
 
-def _block_toeplitz_apply(Z, N: int, states: np.ndarray):
-    """Bind an operator D in grid form to state buffers as one function:
-    apply(i, j) makes the calls that _block_toeplitz_calls binds for
-    D states[i] -> states[j].  For a single product, such as the step
-    operator's source term; the march strings together the bound calls of
-    all its classes and steps instead (time_march_energy).
-    """
-    calls = _block_toeplitz_calls(Z, N, states)
-
-    def apply(i, j):
-        for call in calls(i, j):
-            call()
-
-    return apply
-
-
 def _step_operator(Z, b, dt: float, N: int):
     """One SSP-RK3 step of d u/dt = M u + b as u -> R u + r, in grid form.
 
     For a linear, time-invariant system the three stages are exactly
     R = I + dt M T and r = dt T b, T = I + dt M / 2 + (dt M)^2 / 6.  M
     spans node offsets -2..+2, so R spans -6..+6 and T -4..+4, and M's
-    13-node grid form Z fixes theirs, and Horner's rule raises both from
-    it.  Returns (R, r), R as its 13-node grid form.
+    13-node grid form Z (a class's, _class_operator) fixes theirs, and
+    Horner's rule raises both from it.  Returns (R, r), R as its 13-node
+    grid form.
     """
     n, m = Z.shape[:2]
     Z = Z.reshape(n * m, n * m) * dt
@@ -784,7 +764,8 @@ def _step_operator(Z, b, dt: float, N: int):
     R.flat[::n * m + 1] += 1.0
 
     states = np.stack([b, np.empty_like(b)])
-    _block_toeplitz_apply(T.reshape(n, m, n, m), N, states)(0, 1)
+    for call in _block_toeplitz_calls(T.reshape(n, m, n, m), N, states)(0, 1):
+        call()
     return R.reshape(n, m, n, m), dt * states[1]
 
 
@@ -798,18 +779,24 @@ def _decoupling_defect(Z, classes) -> float:
     return float(dropped / np.abs(Z).max())
 
 
-def _class_operator(Z, b, idx, L):
-    """The block of M (grid form Z) and b on the moments idx, in the
+def _class_operator(terms, b, idx, L):
+    """The block of M (terms) and b (N, m) on the moments idx, in the
     S-orthonormal variables w = L^T u of that class, S_c = L L^T.
 
-    Every m_c x m_c block B becomes L^T B L^-T and every node vector of b
+    Each term's block is cut to idx, and the class's grid form is summed
+    from the cut terms on 13 nodes, not the 5 that fix M, so that the
+    cubic in M that _step_operator folds from it is fixed by it too.  The
+    grid form sums entry by entry in term order, so this is bit for bit
+    the idx block of M's full-m form, which is never built.  Every
+    m_c x m_c block B then becomes L^T B L^-T and every node vector of b
     L^T b, so the march keeps its form and the class energy u^T S_c u is
     |w|^2.  Returns (Z_c, b_c), Z_c in grid form.
     """
     T, T_inv = L.T, np.linalg.inv(L).T
-    blocks = T @ Z.transpose(0, 2, 1, 3)[..., idx[:, None], idx] @ T_inv
-    b_c = b.reshape(-1, Z.shape[1])[:, idx] @ L
-    return blocks.transpose(0, 2, 1, 3), b_c.ravel()
+    cut = [(table, h, B[np.ix_(idx, idx)]) for table, h, B in terms]
+    Z = _grid_operator(cut, idx.size, 13)
+    blocks = T @ Z.transpose(0, 2, 1, 3) @ T_inv
+    return blocks.transpose(0, 2, 1, 3), (b[:, idx] @ L).ravel()
 
 
 def _apply_wall_state(alpha, bc_upper, bc_lower, wall_temp, n_o):
@@ -859,12 +846,13 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     odd moments are made consistent with the boundary relation before the
     march.  The march operator is block diagonal over the tangential-parity
     classes (BasisSet.parity_classes), so each class is marched on its own, in
-    the variables w = L_c^T u with S_c = L_c L_c^T (_class_operator); the
-    cross-class entries of M are round-off and are dropped, and the
-    largest of them, over max|M|, is the result's decoupling_defect.  Once
-    the class operators are built, M's full-m grid form and b are dropped.
-    Every step applies each class's folded SSP-RK3 step operator,
-    w -> R w + r (_step_operator), as the numpy calls that
+    the variables w = L_c^T u with S_c = L_c L_c^T, from its own blocks
+    of M's terms (_class_operator): no grid form over all m moments is
+    built on 13 nodes.  The cross-class entries of M are round-off and are
+    dropped, and the largest of them, over max|M|, is the result's
+    decoupling_defect, read from M's 5-node form, which holds every
+    distinct block of M.  Every step applies each class's folded SSP-RK3
+    step operator, w -> R w + r (_step_operator), as the numpy calls that
     _block_toeplitz_calls binds, all classes' in a row, plus one add of r
     when the data b are not zero.  The energy E(t) = dy * sum_nodes
     alpha^T S alpha = dy |w|^2 is recorded every record_every steps and at
@@ -909,9 +897,9 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     dt = t_final / steps
 
     start = time.perf_counter()
-    Z, b = _march_operator(cfg, sys, bc_upper, bc_lower)
+    terms, b = _march_operator(cfg, sys, bc_upper, bc_lower)
     classes = sys.basis.parity_classes
-    defect = _decoupling_defect(Z, classes)
+    defect = _decoupling_defect(_grid_operator(terms, m, 5), classes)
     b_max = float(np.abs(b).max())
     # each row holds the classes side by side, class c as its (N, m_c)
     # state in S-orthonormal variables; row _BATCH + 1 is scratch
@@ -922,11 +910,10 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     factors, bound = [], []
     for idx, seg in zip(classes, segments):
         L = np.linalg.cholesky(sys.S[np.ix_(idx, idx)])
-        R, r[seg] = _step_operator(*_class_operator(Z, b, idx, L), dt, N)
+        R, r[seg] = _step_operator(*_class_operator(terms, b, idx, L), dt, N)
         bound.append(_block_toeplitz_calls(R, N, U[:, seg]))
         U[0, seg] = (alpha[:, idx] @ L).ravel()
         factors.append(L)
-    del Z, b
     source = bool(np.any(r))
 
     def step(i, j):

@@ -43,7 +43,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import verify_orthogonality
+from .basis import _ordered_moments, verify_orthogonality
 from .boundary import accommodation_gain, make_boundary_operator
 from .channel import (ChannelConfig, reference_solution, solve_steady,
                       time_march_energy)
@@ -411,10 +411,10 @@ def cmd_solve_channel(args: argparse.Namespace) -> dict:
         solved = ",".join(th.name for th in theories)
         names, modes = [], []
     else:
-        sys_ = assemble_system(theory, normal_axis="y", axes=("y",))
-        sol = solve_steady(channel_cfg, sys=sys_)
+        sol = solve_steady(channel_cfg)
         solved = theory.name
-        names, modes = sys_.basis.names(), sol.alpha.T
+        names = [bf.name for bf in _ordered_moments(theory, "y")]
+        modes = sol.alpha.T
     payload = {"theory": solved, "reduction": theory.reduction,
                "diagnostics": sol.diagnostics}
     if args.out:

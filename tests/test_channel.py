@@ -1,6 +1,7 @@
 """Heated-channel benchmark: steady solvers, reference envelope, time marcher."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from momentbc.basis import build_basis_set
 from momentbc.boundary import make_boundary_operator
 from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
                               WALL_TEMP_COEFF, ChannelConfig,
-                              _apply_wall_state, _block_toeplitz_apply,
+                              _apply_wall_state, _block_toeplitz_calls,
                               _class_operator, _decoupling_defect, _deflation,
                               _grid_operator, _march_operator, _operator_terms,
                               _pencil_modes, _phi,
@@ -142,11 +143,18 @@ def kron_oracle(terms, N):
 
 
 def apply_grid(Z, N, u):
-    """D u for an operator D in grid form, through
-    _block_toeplitz_apply bound to the buffers [u, out]."""
+    """D u for an operator D in grid form, through the calls that
+    _block_toeplitz_calls binds to the buffers [u, out]."""
     states = np.stack([u, np.full_like(u, np.nan)])
-    _block_toeplitz_apply(Z, N, states)(0, 1)
+    for call in _block_toeplitz_calls(Z, N, states)(0, 1):
+        call()
     return states[1]
+
+
+def full_march_form(args):
+    """M's 13-node grid form over all m moments, which the march itself
+    never builds: the reference its class operators are cut from."""
+    return _grid_operator(_operator_terms(*args)[1], args[1].size, 13)
 
 
 def _operator_setup(cfg, sys_):
@@ -183,7 +191,7 @@ def test_operators_exact_on_polynomial_profiles(bc_kind):
     args = _operator_setup(cfg, sys_)
     bc_upper, bc_lower = args[2:]
     K = _steady_operator(*args)
-    Z, _ = _march_operator(*args)
+    Z = full_march_form(args)
     assert K.shape == (N * m, N * m)
     y = cfg.grid()
     A = sys_.A["y"]
@@ -628,13 +636,14 @@ def test_block_toeplitz_apply_matches_csr(bc_kind, degree, n_grid):
     # march folds (k = 6), each bound once to a set of buffers and applied
     # between them
     for Z in (_grid_operator(_operator_terms(*args)[1], sys_.size, 5),
-              _march_operator(*args)[0]):
+              full_march_form(args)):
         states = rng.standard_normal((4, n_grid * sys_.size))
-        apply = _block_toeplitz_apply(Z, n_grid, states)
+        calls = _block_toeplitz_calls(Z, n_grid, states)
         for i, j in ((0, 1), (2, 3), (1, 0)):
             u = states[i].copy()
             states[j] = np.nan
-            apply(i, j)
+            for call in calls(i, j):
+                call()
             assert np.array_equal(states[i], u)
             out, ref = states[j], M @ u
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -653,10 +662,11 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
     sys_ = cached_system(degree, normal="y", axes=("y",))
     cfg = make_config(degree=degree, n_grid=n_grid, bc_kind=bc_kind)
     M, args = _march_oracle(cfg, sys_)
-    Z, b = _march_operator(*args)
+    terms, b = _march_operator(*args)
+    Z = full_march_form(args)
     h = cfg.grid()[1] - cfg.grid()[0]
     dt = 0.4 * h / sys_.characteristic.max_speed
-    R, r = _step_operator(Z, b, dt, n_grid)
+    R, r = _step_operator(Z, b.ravel(), dt, n_grid)
     assert R.shape == (13, sys_.size, 13, sys_.size)
 
     def poly(v, coeffs):
@@ -672,13 +682,13 @@ def test_step_operator_matches_kron_oracle(bc_kind, degree, n_grid):
         out = apply_grid(R, n_grid, u)
         ref = poly(u, (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0))
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
-    ref_r = dt * poly(b, (1.0, 1.0 / 2.0, 1.0 / 6.0))
+    ref_r = dt * poly(b.ravel(), (1.0, 1.0 / 2.0, 1.0 / 6.0))
     assert np.abs(r - ref_r).max() <= 1e-14 * np.abs(ref_r).max()
 
     m = sys_.size
     for idx in sys_.basis.parity_classes:
         L = np.linalg.cholesky(sys_.S[np.ix_(idx, idx)])
-        R_c, r_c = _step_operator(*_class_operator(Z, b, idx, L), dt, n_grid)
+        R_c, r_c = _step_operator(*_class_operator(terms, b, idx, L), dt, n_grid)
         assert R_c.shape == (13, idx.size, 13, idx.size)
         u = np.zeros((n_grid, m))
         u[:, idx] = rng.standard_normal((n_grid, idx.size))
@@ -701,7 +711,8 @@ def test_march_operator_parity_classes(degree, reduction, bc_kind, chi):
     sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
     cfg = make_config(theory=grad_theory(degree, reduction), n_grid=16,
                       bc_kind=bc_kind, chi=chi)
-    Z, b = _march_operator(*_operator_setup(cfg, sys_))
+    args = _operator_setup(cfg, sys_)
+    Z, b = full_march_form(args), _march_operator(*args)[1]
     classes = sys_.basis.parity_classes
     m = sys_.size
     assert len(classes) == (2 if reduction == "planar" else 4)
@@ -723,8 +734,46 @@ def test_march_operator_parity_classes(degree, reduction, bc_kind, chi):
     assert _decoupling_defect(Z, classes) == dropped / scale
     assert np.all(sys_.S[cross] == 0.0)
     outside = np.setdiff1d(np.arange(m), classes[0])
-    assert np.all(b.reshape(16, m)[:, outside] == 0.0)
+    assert np.all(b[:, outside] == 0.0)
     assert np.abs(b).max() > 0.0
+
+
+@pytest.mark.parametrize("bc_kind", ["obc", "mbc"])
+@pytest.mark.parametrize("degree, reduction", [(3, "planar"), (7, "planar"),
+                                               (3, "full3d"), (5, "full3d")])
+def test_class_operator_cuts_the_full_grid_form(degree, reduction, bc_kind):
+    # each class's operator, summed from its own blocks of M's terms, is bit
+    # for bit the class cut out of M's full-m 13-node form and transformed;
+    # the defect read from M's 5-node form is that of the 13-node one
+    sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(degree, reduction), n_grid=16,
+                      bc_kind=bc_kind, chi=0.6)
+    args = _operator_setup(cfg, sys_)
+    terms, b = _march_operator(*args)
+    Z, m = full_march_form(args), sys_.size
+    classes = sys_.basis.parity_classes
+    for idx in classes:
+        L = np.linalg.cholesky(sys_.S[np.ix_(idx, idx)])
+        Z_c, b_c = _class_operator(terms, b, idx, L)
+        blocks = L.T @ Z.transpose(0, 2, 1, 3)[..., idx[:, None], idx] @ np.linalg.inv(L).T
+        assert np.array_equal(Z_c, blocks.transpose(0, 2, 1, 3))
+        assert np.array_equal(b_c, (b[:, idx] @ L).ravel())
+    assert (_decoupling_defect(_grid_operator(terms, m, 5), classes)
+            == _decoupling_defect(Z, classes))
+
+
+def test_march_builds_no_full_grid_form():
+    # full3d G120 (m = 120, classes of 40, 30, 30 and 20 moments): the
+    # march's peak allocation stays below one full-m 13-node grid form
+    sys_ = cached_system(7, "full3d", normal="y", axes=("y",))
+    cfg = make_config(theory=grad_theory(7, "full3d"), n_grid=32)
+    tracemalloc.start()
+    try:
+        time_march_energy(cfg, t_final=1e-3, sys=sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (13 * sys_.size) ** 2 * 8
 
 
 def _csr_march(M, b, u, dt, steps, S, h, record_every=1, limit=np.inf):
@@ -753,7 +802,7 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
     """time_march_energy over a horizon of `steps` steps, and _csr_march
     from the same initial state."""
     M, args = _march_oracle(cfg, sys_)
-    b = _march_operator(*args)[1]
+    b = _march_operator(*args)[1].ravel()
     bc_upper, bc_lower = args[2:]
     N, m = cfg.n_grid, sys_.size
     h = cfg.grid()[1] - cfg.grid()[0]

@@ -334,6 +334,22 @@ def test_solve_channel_csv(capsys, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_solve_channel_assembles_no_whole_system(capsys, tmp_path, monkeypatch):
+    # the collocation path assembles the heated class alone; its CSV still
+    # names every moment of the whole basis, in basis order
+    def whole(*args, **kw):
+        raise AssertionError("whole system assembled")
+    monkeypatch.setattr("momentbc.cli.assemble_system", whole)
+    out = tmp_path / "chan.csv"
+    rc, _, err = run_cli(capsys, "solve-channel", "--theory", "G20",
+                         "--grid", "32", "--out", str(out))
+    assert rc == 0, err
+    header, data = load_csv(out)
+    names = build_basis_set(theory_from_name("G20"), normal_axis="y").names()
+    assert header[6:] == names
+    assert data.shape == (32, 6 + 13)
+
+
 def test_solve_channel_reference_fields_only(capsys, tmp_path):
     # a one-theory reference is that theory's modal solution
     a = tmp_path / "a.csv"
