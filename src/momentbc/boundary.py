@@ -98,17 +98,6 @@ def _held_gain(sys: MomentSystem, kind: str):
     return (sys.mbc[0], {}) if kind == "mbc" else sys.obc
 
 
-def wall_form_min(sys: MomentSystem, kind: str) -> float:
-    """lambda_min / max|lambda| of the wall form sym(Theta_kind^T Aoe).  On
-    the wall's rows the energy flux is 2 beta u_e^T Theta_kind^T Aoe u_e, so
-    the sign is the same at every chi; below zero some even state draws
-    energy, which check_stability's Schur form does not see when the wall
-    also fails the kernel condition.  Read from the eigenvalues of the
-    form's parity-class blocks that stability.wall_certificate keeps."""
-    from .stability import wall_certificate  # stability imports this module
-    return wall_certificate(sys, kind).wall_form_min
-
-
 @dataclass(frozen=True)
 class BoundaryOperator:
     """Boundary rows B alpha = rhs(wall_temp) for one wall.

@@ -28,11 +28,12 @@ along each tangential axis, and the march keeps those parities, so it
 runs as one such system per parity class (two planar, four in full3d), in
 variables in which the energy is a plain sum of squares; each class's
 cubic is raised densely on 13 nodes from its own blocks.  Each step
-applies a class's shared row to super-nodes of b consecutive nodes: one BLAS GEMM of a contiguous copy of the overlapping
-windows of its state with a block-banded matrix that holds the row b
-times, so each GEMM row writes b nodes, plus one batched product for both
-walls.  Those numpy calls, for every class, are bound once before the
-march, so the step loop pays for the calls and their arithmetic only.
+applies a class's shared row to super-nodes of b consecutive nodes: one
+BLAS GEMM of a contiguous copy of the overlapping windows of its state
+with a block-banded matrix that holds the row b times, so each GEMM row
+writes b nodes, plus one batched product for both walls.  Those numpy
+calls, for every class, are bound once before the march, so the step
+loop pays for the calls and their arithmetic only.
 
 The steady solvers need only one of those classes.  The flux along y,
 the symmetrizer, the relaxation and both wall gains keep the parities,
@@ -432,8 +433,8 @@ def _pencil_modes(sys: MomentSystem):
 
 
 def _phi(z: np.ndarray, *orders):
-    """phi_k(z) = sum_i z^i / (i + k)!, for z <= 0, for each order k given:
-    the array of the one order, or a tuple of them.
+    """phi_k(z) = sum_i z^i / (i + k)!, for z <= 0, as a tuple with one
+    array per order k given.
 
     Summed as a series below |z| = 1, and above it by the recurrence
     phi_{j+1}(z) = (phi_j(z) - 1/j!) / z from phi_0(z) = e^z, which passes
@@ -450,7 +451,7 @@ def _phi(z: np.ndarray, *orders):
                 series = series * zs + 1.0 / math.factorial(i + j + 1)
             out[j + 1] = np.empty_like(z)
             out[j + 1][small], out[j + 1][~small] = series, rec
-    return out[orders[0]] if len(orders) == 1 else tuple(out[k] for k in orders)
+    return tuple(out[k] for k in orders)
 
 
 def _deflation(A, W, V):
@@ -808,38 +809,13 @@ def _apply_wall_state(alpha, bc_upper, bc_lower, wall_temp, n_o):
 
 # the march stops as blown up once the energy exceeds this multiple of its scale
 _BLOWUP_FACTOR = 1e6
-# recorded states kept per energy evaluation
+# steps marched per energy evaluation
 _BATCH = 8
-
-
-def _route(step, rows, counts, scratch: int):
-    """The march from rows[0] through len(counts) recorded states, as
-    (calls, repeats) segments: make the calls repeats times, in order.
-
-    Recorded state t takes counts[t] steps from rows[t] and lands in
-    rows[t + 1]; its steps alternate between the scratch row and that row
-    so that the last lands there.  step(i, j) is the calls of one step
-    from row i to row j.  An odd count starts with one step into the
-    landing row, an even one with two through the scratch row; the rest is
-    the two-step cycle there and back, repeated.  Consecutive segments
-    made once are joined, so recording every step or every second step
-    gives one segment per route.
-    """
-    route = []
-    for src, dst, count in zip(rows, rows[1:], counts):
-        first = step(src, dst) if count % 2 else step(src, scratch) + step(scratch, dst)
-        if route and route[-1][1] == 1:
-            route[-1] = (route[-1][0] + first, 1)
-        else:
-            route.append((first, 1))
-        if count > 2:
-            route.append((step(dst, scratch) + step(scratch, dst), (count - 1) // 2))
-    return route
 
 
 def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
                       cfl: float = 0.4, init="zero", seed: int = 0,
-                      sys: MomentSystem = None, record_every: int = 1) -> MarchResult:
+                      sys: MomentSystem = None) -> MarchResult:
     """Explicit march of the channel system recording the entropy energy.
 
     init is 'zero', 'random' (seeded nodal noise) or an (N, m) array; wall
@@ -855,25 +831,22 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     step operator, w -> R w + r (_step_operator), as the numpy calls that
     _block_toeplitz_calls binds, all classes' in a row, plus one add of r
     when the data b are not zero.  The energy E(t) = dy * sum_nodes
-    alpha^T S alpha = dy |w|^2 is recorded every record_every steps and at
-    the last one, for up to _BATCH recorded states at a time: they are
-    marched into the rows of one buffer, each row holding the classes side
-    by side, then weighed by one contraction.  Batches land alternately in
-    rows 1.._BATCH from row 0 and in rows _BATCH-1..0 from row _BATCH, so
-    each starts where the last one ended; every route (_route) is bound
-    before the march, which then only makes calls and weighs batches.  The
-    march stops as blown up at the first recorded state whose energy is
-    not finite or exceeds _BLOWUP_FACTOR times its scale; the trace ends
-    there and alpha is that state, mapped back by u = L_c^-T w.
-    operator_s on the result is the wall time to build R and r and bind
-    the routes, march_s that of the step loop.  cfl and t_final must be
-    finite and positive, record_every a positive integer.
+    alpha^T S alpha = dy |w|^2 is recorded after every step, for up to
+    _BATCH steps at a time: they are marched into the rows of one buffer,
+    each row holding the classes side by side, then weighed by one
+    contraction.  Batches land alternately in rows 1.._BATCH from row 0
+    and in rows _BATCH-1..0 from row _BATCH, so each starts where the last
+    one ended; every batch's calls are bound before the march, which then
+    only makes calls and weighs batches.  The march stops as blown up at
+    the first step whose energy is not finite or exceeds _BLOWUP_FACTOR
+    times its scale; the trace ends there and alpha is that state, mapped
+    back by u = L_c^-T w.  operator_s on the result is the wall time to
+    build R and r and bind the calls, march_s that of the step loop.  cfl
+    and t_final must be finite and positive.
     """
     if not (0 < cfl < math.inf and 0 < t_final < math.inf):
         raise ValueError(f"cfl and t_final must be finite and positive "
                          f"(got cfl={cfl}, t_final={t_final})")
-    if not (isinstance(record_every, numbers.Integral) and record_every > 0):
-        raise ValueError(f"record_every must be a positive integer (got {record_every!r})")
     sys, bc_upper, bc_lower = _channel_system(cfg, sys)
 
     m = sys.size
@@ -902,8 +875,8 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     defect = _decoupling_defect(_grid_operator(terms, m, 5), classes)
     b_max = float(np.abs(b).max())
     # each row holds the classes side by side, class c as its (N, m_c)
-    # state in S-orthonormal variables; row _BATCH + 1 is scratch
-    U = np.empty((_BATCH + 2, N * m))
+    # state in S-orthonormal variables
+    U = np.empty((_BATCH + 1, N * m))
     r = np.empty(N * m)
     stops = N * np.cumsum([idx.size for idx in classes])
     segments = [slice(hi - N * idx.size, hi) for idx, hi in zip(classes, stops)]
@@ -921,26 +894,23 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
         calls = sum((bind(i, j) for bind in bound), ())
         return calls + (partial(np.add, U[j], r, U[j]),) if source else calls
 
-    # recorded step numbers, and the steps to each recorded state
-    marks = np.arange(record_every, steps + record_every, record_every)
-    marks[-1] = steps
-    counts = np.diff(marks, prepend=0)
-
-    def batch(forward, counts):
-        """The route of one batch and its landing rows in record order."""
-        size = len(counts)
+    def batch(forward, size):
+        """The calls of one batch of size steps and its landing rows in
+        step order."""
         if forward:
-            return _route(step, range(size + 1), counts, _BATCH + 1), U[1:size + 1]
-        rows = range(_BATCH, _BATCH - size - 1, -1)
-        return _route(step, rows, counts, _BATCH + 1), U[_BATCH - size:_BATCH][::-1]
+            rows, landed = range(size + 1), U[1:size + 1]
+        else:
+            rows = range(_BATCH, _BATCH - size - 1, -1)
+            landed = U[_BATCH - size:_BATCH][::-1]
+        return sum(map(step, rows, rows[1:]), ()), landed
 
-    batches = -(-marks.size // _BATCH)
-    full = [batch(True, counts[:_BATCH]), batch(False, counts[:_BATCH])]
+    batches = -(-steps // _BATCH)
+    full = [batch(True, _BATCH), batch(False, _BATCH)]
     plan = [full[t % 2] for t in range(batches - 1)]
-    plan.append(batch(batches % 2 == 1, counts[(batches - 1) * _BATCH:]))
+    plan.append(batch(batches % 2 == 1, steps - (batches - 1) * _BATCH))
     operator_s = time.perf_counter() - start
 
-    times = np.r_[0.0, marks * dt]
+    times = np.arange(steps + 1) * dt
     energy = np.empty_like(times)
     energy[0] = h * float(np.dot(U[0], U[0]))
     limit = _BLOWUP_FACTOR * max(energy[0], b_max ** 2, 1.0)
@@ -949,11 +919,9 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     start = time.perf_counter()
     # the states a batch marches past a blow-up may overflow; none is kept
     with np.errstate(over="ignore", invalid="ignore"):
-        for route, landed in plan:
-            for calls, repeats in route:
-                for _ in range(repeats):
-                    for call in calls:
-                        call()
+        for calls, landed in plan:
+            for call in calls:
+                call()
             e = h * np.einsum("bi,bi->b", landed, landed)
             energy[recorded + 1:recorded + 1 + e.size] = e
             # a nan maximum fails the test too

@@ -522,7 +522,7 @@ def test_phi_functions_match_quadrature():
         exact = [scipy.integrate.quad(
             lambda t: np.exp(zi * (1 - t)) * t ** (k - 1) / math.factorial(k - 1),
             0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0] for zi in z]
-        assert np.abs(_phi(z, k) / exact - 1.0).max() < 1e-13, k
+        assert np.abs(_phi(z, k)[0] / exact - 1.0).max() < 1e-13, k
 
 
 @pytest.mark.parametrize("kn", [0.1, 0.3, 1.0, 3.0, 10.0])
@@ -580,12 +580,6 @@ def test_march_rejects_nonpositive_step_or_horizon(bad):
     kw = {"t_final": 0.1, "cfl": 0.4, **bad}
     with pytest.raises(ValueError, match="finite and positive"):
         time_march_energy(make_config(n_grid=32), **kw)
-
-
-@pytest.mark.parametrize("bad", [0, -7, 2.0])
-def test_march_rejects_bad_record_every(bad):
-    with pytest.raises(ValueError, match="record_every"):
-        time_march_energy(make_config(n_grid=32), t_final=0.1, record_every=bad)
 
 
 def test_march_detects_unstable_step():
@@ -776,12 +770,12 @@ def test_march_builds_no_full_grid_form():
     assert peak < (13 * sys_.size) ** 2 * 8
 
 
-def _csr_march(M, b, u, dt, steps, S, h, record_every=1, limit=np.inf):
+def _csr_march(M, b, u, dt, steps, S, h, limit=np.inf):
     """Plain SSP-RK3 march with CSR products, one step at a time: the
-    oracle for the folded, batched march.  Records the energy at step 0,
-    every record_every steps and at the last, and stops at the first
-    recorded energy that is not finite or exceeds limit.  Returns the
-    recorded step numbers and energies and the state at the last of them."""
+    oracle for the folded, batched march.  Records the energy at step 0
+    and after every step, and stops at the first energy that is not
+    finite or exceeds limit.  Returns the recorded step numbers and
+    energies and the state at the last of them."""
     N = u.size // S.shape[0]
     marks, energies = [], []
     for k in range(steps + 1):
@@ -789,16 +783,15 @@ def _csr_march(M, b, u, dt, steps, S, h, record_every=1, limit=np.inf):
             u1 = u + dt * (M @ u + b)
             u2 = 0.75 * u + 0.25 * (u1 + dt * (M @ u1 + b))
             u = u / 3.0 + (2.0 / 3.0) * (u2 + dt * (M @ u2 + b))
-        if k % record_every == 0 or k == steps:
-            a = u.reshape(N, -1)
-            marks.append(k)
-            energies.append(h * np.einsum("ij,jk,ik->", a, S, a))
-            if not energies[-1] <= limit:
-                break
+        a = u.reshape(N, -1)
+        marks.append(k)
+        energies.append(h * np.einsum("ij,jk,ik->", a, S, a))
+        if not energies[-1] <= limit:
+            break
     return np.array(marks), np.array(energies), u.reshape(N, -1)
 
 
-def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
+def _march_and_oracle(cfg, sys_, init, steps, cfl):
     """time_march_energy over a horizon of `steps` steps, and _csr_march
     from the same initial state."""
     M, args = _march_oracle(cfg, sys_)
@@ -808,14 +801,13 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl, record_every=1):
     h = cfg.grid()[1] - cfg.grid()[0]
     t_final = (steps - 0.5) * cfl * h / sys_.characteristic.max_speed
     res = time_march_energy(cfg, t_final=t_final, cfl=cfl, init=init, seed=4,
-                            sys=sys_, record_every=record_every)
+                            sys=sys_)
     alpha0 = (np.zeros((N, m)) if init == "zero"
               else np.random.default_rng(4).standard_normal((N, m)))
     alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_temp, sys_.n_o)
     limit = _BLOWUP_FACTOR * max(h * np.einsum("ij,jk,ik->", alpha0, sys_.S, alpha0),
                                  np.abs(b).max() ** 2, 1.0)
-    return res, b, _csr_march(M, b, alpha0.ravel(), res.dt, steps, sys_.S, h,
-                              record_every, limit)
+    return res, b, _csr_march(M, b, alpha0.ravel(), res.dt, steps, sys_.S, h, limit)
 
 
 # G20 planar and full3d, G35 planar: two, four and two parity classes
@@ -841,20 +833,19 @@ def test_march_matches_csr_oracle(bc_kind, driven, init):
         assert res.march_s > 0.0
 
 
-@pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("cfl", [0.4, 5.0])
-def test_march_batches_match_per_step_oracle(record_every, cfl):
-    # 61 steps: the recorded states fill no whole number of batches, and
-    # the last recorded step is no multiple of 7; at cfl = 5 the march blows
-    # up within its first batch, and the trace and alpha must end at the
-    # step that tripped, not at the end of the batch
+def test_march_batches_match_per_step_oracle(cfl):
+    # 61 steps: the steps fill no whole number of batches, and the last
+    # batch, the eighth, lands backward with 5 steps; at cfl = 5 the march
+    # blows up within its first batch, and the trace and alpha must end at
+    # the step that tripped, not at the end of the batch
     for degree, reduction in _ORACLE_THEORIES:
         sys_ = cached_system(degree, reduction, normal="y", axes=("y",))
         cfg = make_config(theory=grad_theory(degree, reduction), n_grid=32,
                           bc_kind="mbc")
         steps = 61
         res, _, (marks, energies, alpha) = _march_and_oracle(
-            cfg, sys_, "random", steps, cfl, record_every)
+            cfg, sys_, "random", steps, cfl)
         assert np.array_equal(res.times, marks * res.dt)
         assert res.blowup == (cfl > 1.0) == (marks[-1] < steps)
         if res.blowup:
@@ -867,15 +858,15 @@ def test_march_routes_match_per_step_oracle():
     # what the step binds only where it applies, all at once: the data's
     # add (driven), the leftover product (R's 23 interior nodes at N = 35
     # leave 3 over from 4-node super-nodes) and four parity classes (full3d
-    # G20); 127 steps recorded every 7 fill a batch landing forward, one
-    # landing backward and a last one, whose final state takes one step
+    # G20); 2 _BATCH + 3 steps fill a batch landing forward, one landing
+    # backward and a partial last one landing forward
     sys_ = cached_system(3, "full3d", normal="y", axes=("y",))
     cfg = make_config(theory=grad_theory(3, "full3d"), n_grid=35, bc_kind="mbc")
-    steps, record_every = 127, 7
+    steps = 2 * _BATCH + 3
     res, b, (marks, energies, alpha) = _march_and_oracle(
-        cfg, sys_, "random", steps, 0.4, record_every)
+        cfg, sys_, "random", steps, 0.4)
     assert np.abs(b).max() > 0 and len(res.classes) == 4 and not res.blowup
-    assert marks.size - 1 == 2 * _BATCH + 3 and marks[-1] - marks[-2] == 1
+    assert marks.size - 1 == steps
     assert np.array_equal(res.times, marks * res.dt)
     assert np.abs(res.energy - energies).max() <= 1e-12 * np.abs(energies).max()
     assert np.abs(res.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
