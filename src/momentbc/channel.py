@@ -807,6 +807,23 @@ def _apply_wall_state(alpha, bc_upper, bc_lower, wall_temp, n_o):
     return alpha
 
 
+def _seeded_normal(seed: int, shape) -> np.ndarray:
+    """Standard normal draws of the given shape from random.Random(seed).
+
+    Box-Muller on 53-bit uniforms u in [0, 1) cut from one getrandbits
+    call: z = sqrt(-2 log(1 - u1)) cos(2 pi u2), with u1 the first half of
+    the draws and u2 the second.  numpy.random, its generators and the hash
+    modules it loads are never imported.
+    """
+    import random  # here, so that importing momentbc loads nothing new
+
+    n = math.prod(shape)
+    bits = random.Random(seed).getrandbits(128 * n).to_bytes(16 * n, "little")
+    u = (np.frombuffer(bits, "<u8") >> 11) * 2.0 ** -53
+    z = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.cos(2.0 * math.pi * u[n:])
+    return z.reshape(shape)
+
+
 # the march stops as blown up once the energy exceeds this multiple of its scale
 _BLOWUP_FACTOR = 1e6
 # steps marched per energy evaluation
@@ -818,8 +835,10 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
                       sys: MomentSystem = None) -> MarchResult:
     """Explicit march of the channel system recording the entropy energy.
 
-    init is 'zero', 'random' (seeded nodal noise) or an (N, m) array; wall
-    odd moments are made consistent with the boundary relation before the
+    init is 'zero', 'random' or an (N, m) array; 'random' is nodal noise,
+    standard normal draws from random.Random(seed) by Box-Muller
+    (_seeded_normal), and seed must be a non-negative integer.  Wall odd
+    moments are made consistent with the boundary relation before the
     march.  The march operator is block diagonal over the tangential-parity
     classes (BasisSet.parity_classes), so each class is marched on its own, in
     the variables w = L_c^T u with S_c = L_c L_c^T, from its own blocks
@@ -847,6 +866,8 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
     if not (0 < cfl < math.inf and 0 < t_final < math.inf):
         raise ValueError(f"cfl and t_final must be finite and positive "
                          f"(got cfl={cfl}, t_final={t_final})")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer (got {seed!r})")
     sys, bc_upper, bc_lower = _channel_system(cfg, sys)
 
     m = sys.size
@@ -857,7 +878,7 @@ def time_march_energy(cfg: ChannelConfig, t_final: float = 10.0,
         if init == "zero":
             alpha = np.zeros((N, m))
         elif init == "random":
-            alpha = np.random.default_rng(seed).standard_normal((N, m))
+            alpha = _seeded_normal(int(seed), (N, m))
         else:
             raise ValueError(f"unknown initializer {init!r}")
     else:

@@ -18,7 +18,7 @@ from momentbc.channel import (_BATCH, _BLOWUP_FACTOR, SOURCE_AMPLITUDE,
                               _class_operator, _decoupling_defect, _deflation,
                               _grid_operator, _march_operator, _operator_terms,
                               _pencil_modes, _phi,
-                              _polynomial_part, _steady_operator,
+                              _polynomial_part, _seeded_normal, _steady_operator,
                               _step_operator, extract_fields,
                               reference_solution, solve_modal,
                               solve_steady, source_vector, time_march_energy)
@@ -573,6 +573,28 @@ def test_march_rejects_unknown_initializer():
         time_march_energy(make_config(n_grid=32), t_final=0.1, init="ones")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_march_rejects_bad_seed(seed):
+    # random.Random would take |seed| and hash a float: -1 would give 1's state
+    with pytest.raises(ValueError, match="non-negative integer"):
+        time_march_energy(make_config(n_grid=32), t_final=0.1, init="random",
+                          seed=seed)
+
+
+def test_seeded_normal_is_reproducible():
+    a = _seeded_normal(7, (40, 13))
+    assert a.shape == (40, 13) and np.all(np.isfinite(a))
+    assert _seeded_normal(7, (40, 13)).tobytes() == a.tobytes()
+    assert not np.array_equal(_seeded_normal(1, (40, 13)), _seeded_normal(2, (40, 13)))
+
+
+def test_seeded_normal_moments():
+    z = _seeded_normal(11, (200_000,))
+    assert np.all(np.isfinite(z))
+    assert abs(z.mean()) < 0.01
+    assert abs(z.var() - 1.0) < 0.02
+
+
 @pytest.mark.parametrize("bad", [{"cfl": 0.0}, {"cfl": -1.0}, {"t_final": 0.0},
                                  {"t_final": -1.0}, {"t_final": float("inf")},
                                  {"cfl": float("nan")}])
@@ -803,7 +825,7 @@ def _march_and_oracle(cfg, sys_, init, steps, cfl):
     res = time_march_energy(cfg, t_final=t_final, cfl=cfl, init=init, seed=4,
                             sys=sys_)
     alpha0 = (np.zeros((N, m)) if init == "zero"
-              else np.random.default_rng(4).standard_normal((N, m)))
+              else _seeded_normal(4, (N, m)))
     alpha0 = _apply_wall_state(alpha0, bc_upper, bc_lower, cfg.wall_temp, sys_.n_o)
     limit = _BLOWUP_FACTOR * max(h * np.einsum("ij,jk,ik->", alpha0, sys_.S, alpha0),
                                  np.abs(b).max() ** 2, 1.0)

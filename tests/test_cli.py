@@ -687,6 +687,20 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "0 []\n"
 
 
+def test_random_march_loads_no_numpy_random():
+    # the march's seeded state comes from the standard library's random,
+    # so neither numpy.random nor the hash modules it pulls in are loaded
+    code = ("import contextlib, io, sys\n"
+            "from momentbc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['energy-march', '--theory', 'G20', '--init', 'random',\n"
+            "               '--grid', '32', '--t-final', '0.5'])\n"
+            "print(rc, sorted(k for k in sys.modules if k.startswith('numpy.random')))\n")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
 def test_import_loads_no_fractions_or_decimal():
     # the basis is built in integers, so no rational arithmetic is imported
     code = ("import sys\n"
