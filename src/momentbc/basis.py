@@ -30,7 +30,7 @@ built on the first check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -190,13 +190,10 @@ def basis_polynomial(n: int, s: int, component) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(namedtuple("BasisFunction", "rank radial component")):
     """One moment basis function: radial factor times tensor component."""
 
-    rank: int
-    radial: int
-    component: tuple
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -208,8 +205,8 @@ class BasisFunction:
         return f"a_{comp}^({self.radial})" if comp else f"a^({self.radial})"
 
 
-@dataclass(frozen=True)
-class BasisSet:
+class BasisSet(namedtuple("BasisSet",
+                          "theory normal_axis entries polys n_o n_e slots")):
     """Ordered moment basis of one theory, split odd-first for a wall normal.
 
     entries holds the independent basis functions and polys their
@@ -217,16 +214,9 @@ class BasisSet:
     a distribution is reconstructed with is not stored: it is 2S times
     this stack (see expansion_weights).  slots holds each entry's position
     in the theory's whole basis: 0..size-1 unless the set keeps only some
-    tangential-parity classes (build_basis_set, restrict).
+    tangential-parity classes (build_basis_set, restrict).  The set keeps
+    a __dict__ for its cached properties.
     """
-
-    theory: object
-    normal_axis: str
-    entries: tuple
-    polys: np.ndarray
-    n_o: int
-    n_e: int
-    slots: np.ndarray
 
     @property
     def size(self) -> int:
@@ -361,12 +351,10 @@ def build_basis_set(theory, normal_axis: str = "x",
     return bs
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(namedtuple("OrthogonalityReport", "matrix max_deviation")):
     """Reconstruction-identity matrix and its largest deviation from I."""
 
-    matrix: np.ndarray
-    max_deviation: float
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

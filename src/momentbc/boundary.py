@@ -14,7 +14,7 @@ moments.  A wall's temperature is its only datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -98,8 +98,7 @@ def _held_gain(sys: MomentSystem, kind: str):
     return (sys.mbc[0], {}) if kind == "mbc" else sys.obc
 
 
-@dataclass(frozen=True)
-class BoundaryOperator:
+class BoundaryOperator(namedtuple("BoundaryOperator", "kind beta n_o B g diagnostics")):
     """Boundary rows B alpha = rhs(wall_temp) for one wall.
 
     kind is 'mbc' or 'obc'.  g is the system's wall-temperature column in
@@ -107,12 +106,7 @@ class BoundaryOperator:
     either orientation.
     """
 
-    kind: str
-    beta: float
-    n_o: int
-    B: np.ndarray
-    g: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def gain(self) -> np.ndarray:
         """Even-to-odd map Theta with alpha_o = Theta alpha_e + rhs."""

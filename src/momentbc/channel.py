@@ -53,7 +53,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -94,19 +94,16 @@ _FIELD_DEFS = (
 )
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(namedtuple("ChannelConfig",
+                               "theory kn chi bc_kind n_grid wall_temp source_amplitude",
+                               defaults=(0.3, 1.0, "obc", 512, WALL_TEMP_COEFF,
+                                         SOURCE_AMPLITUDE))):
     """Parameters of one channel run."""
 
-    theory: MomentTheory
-    kn: float = 0.3
-    chi: float = 1.0
-    bc_kind: str = "obc"
-    n_grid: int = 512
-    wall_temp: float = WALL_TEMP_COEFF
-    source_amplitude: float = SOURCE_AMPLITUDE
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.kn < math.inf:
             raise ValueError("Knudsen number must be finite and positive")
         if not isinstance(self.n_grid, numbers.Integral):
@@ -116,6 +113,10 @@ class ChannelConfig:
         accommodation_gain(self.chi)
         if self.bc_kind not in ("mbc", "obc"):
             raise ValueError("bc_kind must be 'mbc' or 'obc'")
+        return self
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def grid(self) -> np.ndarray:
         return np.linspace(-0.5, 0.5, self.n_grid)
@@ -155,15 +156,14 @@ def extract_fields(bs: BasisSet, alpha: np.ndarray) -> dict:
     return fields
 
 
-@dataclass(frozen=True)
-class ChannelSolution:
-    """Steady channel fields on the grid y, with the state and diagnostics."""
+class ChannelSolution(namedtuple("ChannelSolution",
+                                 "config y alpha fields diagnostics")):
+    """Steady channel fields on the grid y, with the state and diagnostics.
 
-    config: ChannelConfig
-    y: np.ndarray
-    alpha: np.ndarray          # (N, m); None for averaged reference fields
-    fields: dict
-    diagnostics: dict = field(default_factory=dict)
+    alpha is the (N, m) state, None for averaged reference fields.
+    """
+
+    __slots__ = ()
 
 
 def _symmetry_error(fields: dict) -> float:
@@ -638,7 +638,7 @@ def reference_solution(cfg: ChannelConfig, theories=None) -> ChannelSolution:
     if theories is None:
         theories = tuple(grad_theory(d, cfg.theory.reduction)
                          for d in REFERENCE_DEGREES)
-    sols = [solve_modal(replace(cfg, theory=th)) for th in theories]
+    sols = [solve_modal(cfg._replace(theory=th)) for th in theories]
     fields = {}
     for name in sols[0].fields:
         fields[name] = np.mean([s.fields[name] for s in sols], axis=0)
@@ -650,22 +650,18 @@ def reference_solution(cfg: ChannelConfig, theories=None) -> ChannelSolution:
                            fields=fields, diagnostics=diagnostics)
 
 
-@dataclass(frozen=True)
-class MarchResult:
-    """Energy trace and final state of one channel march."""
+class MarchResult(namedtuple("MarchResult",
+                             "config y times energy alpha fields dt blowup march_s "
+                             "operator_s classes decoupling_defect")):
+    """Energy trace and final state of one channel march.
 
-    config: ChannelConfig
-    y: np.ndarray
-    times: np.ndarray
-    energy: np.ndarray
-    alpha: np.ndarray
-    fields: dict
-    dt: float
-    blowup: bool
-    march_s: float             # wall time of the step loop
-    operator_s: float          # wall time to build the step operator
-    classes: tuple             # sizes of the tangential-parity classes
-    decoupling_defect: float   # largest dropped cross-class |M| / max|M|
+    march_s is the wall time of the step loop and operator_s that of the
+    step operator's build; classes holds the sizes of the
+    tangential-parity classes and decoupling_defect the largest dropped
+    cross-class |M| / max|M|.
+    """
+
+    __slots__ = ()
 
     @property
     def max_energy_growth(self) -> float:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -428,6 +427,8 @@ def cmd_solve_channel(args: argparse.Namespace) -> dict:
 def _read_channel_csv(path: str) -> dict:
     """A CSV's columns by header name.  Anything but a header over one or
     more rows of numbers, each as long as the header, is a usage error."""
+    import csv  # here, so that only compare loads it
+
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]

@@ -10,7 +10,7 @@ accommodation coefficient at once, per tangential-parity class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,17 +18,15 @@ from .boundary import _held_gain
 from .system import _ZERO_TOL, CharacteristicDecomposition, MomentSystem
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Admissibility verdict of one wall operator, with its evidence."""
+class StabilityReport(namedtuple("StabilityReport",
+                                 "verdict kernel_ok kernel_residual min_schur_eig "
+                                 "schur reflection_cond details")):
+    """Admissibility verdict of one wall operator, with its evidence.
 
-    verdict: str                  # 'stable', 'unstable' or 'degenerate'
-    kernel_ok: bool
-    kernel_residual: float
-    min_schur_eig: float
-    schur: np.ndarray
-    reflection_cond: float
-    details: dict = field(default_factory=dict)
+    verdict is 'stable', 'unstable' or 'degenerate'.
+    """
+
+    __slots__ = ()
 
     @property
     def stable(self) -> bool:
@@ -111,15 +109,18 @@ def check_stability(dec: CharacteristicDecomposition, B: np.ndarray) -> Stabilit
                            reflection_cond=cond, details=details)
 
 
-@dataclass(frozen=True)
-class WallCertificate:
+class WallCertificate(namedtuple("WallCertificate",
+                                 "kind kernel_defect form_min form_range",
+                                 defaults=((),))):
     """Chi-free admissibility of one wall kind, one entry per
-    tangential-parity class (BasisSet.parity_classes)."""
+    tangential-parity class (BasisSet.parity_classes).
 
-    kind: str
-    kernel_defect: tuple   # |Theta_c Z_c| / |Theta_c S_c^-1/2| per class
-    form_min: tuple        # lambda_min / max|lambda| of sym(Theta_c^T Aoe_c)
-    form_range: tuple = ()  # (lambda_min, max|lambda|) of that form per class
+    Per class: kernel_defect is |Theta_c Z_c| / |Theta_c S_c^-1/2|,
+    form_min is lambda_min / max|lambda| of sym(Theta_c^T Aoe_c) and
+    form_range is that form's (lambda_min, max|lambda|).
+    """
+
+    __slots__ = ()
 
     @property
     def wall_form_min(self) -> float:

@@ -11,7 +11,7 @@ kinds, each built on first use and read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -20,16 +20,15 @@ from .tensor import FULL3D, PLANAR, REDUCTIONS
 from .basis import BasisSet, _gram, build_basis_set
 
 
-@dataclass(frozen=True)
-class MomentTheory:
-    """Basis selection: maximal rank and radial count per rank."""
+class MomentTheory(namedtuple("MomentTheory", "max_rank radial_counts reduction name",
+                              defaults=(PLANAR, ""))):
+    """Basis selection: maximal rank and radial count per rank.  An empty
+    name becomes G<full3d_count>."""
 
-    max_rank: int
-    radial_counts: tuple
-    reduction: str = PLANAR
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.reduction not in REDUCTIONS:
             raise ValueError(f"unknown reduction {self.reduction!r}")
         if self.max_rank < 0 or len(self.radial_counts) != self.max_rank + 1:
@@ -37,7 +36,11 @@ class MomentTheory:
         if any(c < 1 for c in self.radial_counts):
             raise ValueError("each rank needs at least one radial index")
         if not self.name:
-            object.__setattr__(self, "name", f"G{self.full3d_count}")
+            self = super().__new__(cls, *self[:3], f"G{self.full3d_count}")
+        return self
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def full3d_count(self) -> int:
@@ -91,13 +94,10 @@ def bgk_projector(bs: BasisSet) -> np.ndarray:
     return np.diag(diag)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(namedtuple("SymmetryReport", "axis max_asymmetry max_odd_odd")):
     """Worst asymmetry of the multiset-level flux integrals on one axis."""
 
-    axis: str
-    max_asymmetry: float
-    max_odd_odd: float
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -120,15 +120,10 @@ def verify_full_symmetry(bs: BasisSet, axis: str = "x") -> SymmetryReport:
     return SymmetryReport(axis=axis, max_asymmetry=asym, max_odd_odd=max_oo)
 
 
-@dataclass(frozen=True)
-class MomentSystem:
+class MomentSystem(namedtuple("MomentSystem", "basis A S P_bgk")):
     """Assembled first-order system d_t alpha + A^(k) d_k alpha = rhs, with
-    the structure its walls and channel solvers derive from it, held once."""
-
-    basis: BasisSet
-    A: dict
-    S: np.ndarray
-    P_bgk: np.ndarray
+    the structure its walls and channel solvers derive from it, held once
+    in its __dict__ as cached properties.  A maps each axis to its flux."""
 
     @property
     def size(self) -> int:
@@ -224,21 +219,15 @@ def assemble_system(theory: MomentTheory, normal_axis: str = "x",
                         P_bgk=bgk_projector(bs))
 
 
-@dataclass(frozen=True)
-class CharacteristicDecomposition:
+class CharacteristicDecomposition(namedtuple(
+        "CharacteristicDecomposition",
+        "S_half S_half_inv X_minus X_zero X_plus lam_minus lam_plus")):
     """Eigenstructure of S^1/2 A^(n) S^-1/2 split by eigenvalue sign.
 
     Columns of X are orthonormal; lam_minus is ascending (most negative
     first), lam_plus ascending.  The zero block spans the kernel image.
+    The split fluxes are cached in the decomposition's __dict__.
     """
-
-    S_half: np.ndarray
-    S_half_inv: np.ndarray
-    X_minus: np.ndarray
-    X_zero: np.ndarray
-    X_plus: np.ndarray
-    lam_minus: np.ndarray
-    lam_plus: np.ndarray
 
     @property
     def n_neg(self) -> int:
@@ -307,6 +296,6 @@ def _decompose(A_normal, S_half, S_half_inv) -> CharacteristicDecomposition:
 
 
 def _read_only(dec: CharacteristicDecomposition) -> CharacteristicDecomposition:
-    for f in fields(dec):
-        getattr(dec, f.name).flags.writeable = False
+    for array in dec:
+        array.flags.writeable = False
     return dec

@@ -687,6 +687,16 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "0 []\n"
 
 
+def test_import_loads_no_dataclasses_or_csv():
+    # the records are namedtuples and csv is loaded by compare alone
+    code = ("import sys\n"
+            "import momentbc.cli\n"
+            "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))\n")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_random_march_loads_no_numpy_random():
     # the march's seeded state comes from the standard library's random,
     # so neither numpy.random nor the hash modules it pulls in are loaded

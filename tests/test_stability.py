@@ -1,5 +1,4 @@
 """Energy admissibility checks: kernel condition plus reflection form."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -104,7 +103,7 @@ def test_kernel_residual_independent_of_zero_space_basis(degree):
     dec = decomposition(degree)
     rng = np.random.default_rng(degree)
     rotation, _ = np.linalg.qr(rng.standard_normal((dec.n_zero, dec.n_zero)))
-    rotated = dataclasses.replace(dec, X_zero=dec.X_zero @ rotation)
+    rotated = dec._replace(X_zero=dec.X_zero @ rotation)
     B = make_boundary_operator(cached_system(degree), "mbc", 1.0, +1).B
     r1 = check_stability(dec, B).kernel_residual
     r2 = check_stability(rotated, B).kernel_residual

@@ -1,6 +1,4 @@
 """Assembled moment systems: symmetrizer, fluxes, characteristic structure."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -266,7 +264,7 @@ def test_characteristic_held_read_only(degree, reduction, normal):
     sys_ = assemble_system(grad_theory(degree, reduction), normal_axis=normal)
     dec = sys_.characteristic
     assert sys_.characteristic is dec
-    names = [f.name for f in dataclasses.fields(dec)]
+    names = dec._fields
     arrays = [getattr(dec, name) for name in names] + list(dec.split_fluxes)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
